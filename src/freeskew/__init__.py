@@ -20,10 +20,7 @@ from .ordmaps import (
     second_right_adjoint,
 )
 from .tamari import (
-    BracketTree,
     Lbf,
-    Leaf,
-    Node,
     Rbf,
     base_change_inj,
     base_change_surj,
@@ -31,14 +28,12 @@ from .tamari import (
     conjugate_surj,
     enumerate_tamari,
     lbf_to_rbf,
-    lbf_to_tree,
     rbf_to_lbf,
     tamari_bottom,
     tamari_join,
     tamari_leq,
     tamari_meet,
     tamari_top,
-    tree_to_lbf,
     validate_lbf,
 )
 from .fsk import (
@@ -58,8 +53,6 @@ from .fsk import (
     identity,
     is_morphism,
     lambda_,
-    object_from_word,
-    object_to_word,
     rho,
     tensor,
 )
@@ -77,6 +70,16 @@ from .operads import (
     s_substitute_objects,
     terminal_in_grade,
 )
-from .words import format_word, parse_word
+from .words import (
+    BracketTree,
+    Leaf,
+    Node,
+    format_word,
+    lbf_to_tree,
+    object_from_word,
+    object_to_word,
+    parse_word,
+    tree_to_lbf,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -40,6 +40,12 @@ from .words import (
 )
 
 
+# Size limits, so that no input asks for unbounded work: Catalan(13) =
+# 742,900 lbfs, and the axiom sweep the acceptance suite runs.
+MAX_TAMARI_ENUM = 14
+MAX_AXIOM_LEAVES = 8
+
+
 class _UsageError(Exception):
     pass
 
@@ -55,6 +61,8 @@ def _verdict(flag: bool) -> int:
 
 
 def _cmd_tamari_enum(args) -> int:
+    if args.m > MAX_TAMARI_ENUM:
+        raise InputError(f"tamari enum takes M <= {MAX_TAMARI_ENUM}")
     lbfs = enumerate_tamari(args.m)
     if args.json:
         print(dump_json([list(lbf.values) for lbf in lbfs]))
@@ -160,6 +168,8 @@ def _object_tuples(total: int, count: int):
 
 
 def _cmd_axioms(args) -> int:
+    if args.max_leaves > MAX_AXIOM_LEAVES:
+        raise InputError(f"axioms takes --max-leaves <= {MAX_AXIOM_LEAVES}")
     checks = [
         ("lambda_rho", 0, lambda: axiom_lambda_rho()),
         ("alpha_rho", 2, axiom_alpha_rho),

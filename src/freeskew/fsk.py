@@ -5,7 +5,7 @@ to the lbf S, with the generator X in the positions u and the unit I
 elsewhere.  A morphism is fully determined by its underlying
 order-preserving map between ordinals, so morphisms are represented as
 validated MonotoneMaps and equality of morphisms is equality of triples
-(src, dst, map).
+(src, dst, map).  All of it is computed on triples, never on trees.
 """
 
 from __future__ import annotations
@@ -23,23 +23,18 @@ from .ordmaps import (
 )
 from . import ordmaps
 from .tamari import (
-    BracketTree,
     Lbf,
-    Node,
     base_change_inj,
     base_change_surj,
     conjugate_inj,
     conjugate_surj,
     enumerate_tamari,
     lbf_to_rbf,
-    lbf_to_tree,
-    leaf_labels,
     rbf_to_lbf,
     tamari_join,
     tamari_leq,
     tamari_meet,
     tamari_opposite,
-    tree_to_lbf,
 )
 
 MODES = ("direct", "via_factor", "via_search")
@@ -114,23 +109,6 @@ class MorphismClass:
     is_swell: bool
     is_fsk_surjection: bool
     is_fsk_injection: bool
-
-
-def object_from_word(tree: BracketTree) -> FskObject:
-    """Read a labelled tree as a triple: X-positions plus tree shape."""
-    labels = list(leaf_labels(tree))
-    bad = sorted(set(labels) - {"X", "I"})
-    if bad:
-        raise InputError(f"leaf labels must be X or I, got {bad}")
-    u = tuple(i for i, label in enumerate(labels) if label == "X")
-    return FskObject(len(labels), u, tree_to_lbf(tree))
-
-
-@lru_cache(maxsize=None)
-def object_to_word(obj: FskObject) -> BracketTree:
-    """The labelled tree of an object; inverse of object_from_word."""
-    labels = ["X" if i in obj.u else "I" for i in range(obj.m)]
-    return lbf_to_tree(obj.s, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +317,22 @@ def compose(g: FskMorphism, f: FskMorphism) -> FskMorphism:
 
 @lru_cache(maxsize=None)
 def _tensor_objects(a: FskObject, b: FskObject) -> FskObject:
-    return object_from_word(Node(object_to_word(a), object_to_word(b)))
-
-
-@lru_cache(maxsize=None)
-def _tensor_morphisms(f: FskMorphism, g: FskMorphism) -> FskMorphism:
-    return FskMorphism(_tensor_objects(f.src, g.src),
-                       _tensor_objects(f.dst, g.dst),
-                       ordinal_sum(f.map, g.map))
+    return FskObject(a.m + b.m,
+                     a.u + tuple(j + a.m for j in b.u),
+                     Lbf(a.s.values[:-1] + (0,)
+                         + tuple(v + a.m for v in b.s.values)))
 
 
 def tensor(x, y):
-    """Tensor of two objects (graft the trees) or two morphisms (block sum)."""
+    """Tensor of two objects, (m, u, S) (x) (n, v, T) =
+    (m+n, u + (v+m), S[:-1] + (0,) + (T+m)), or of two morphisms (the
+    block sum of the maps)."""
     if isinstance(x, FskObject) and isinstance(y, FskObject):
         return _tensor_objects(x, y)
     if isinstance(x, FskMorphism) and isinstance(y, FskMorphism):
-        return _tensor_morphisms(x, y)
+        return FskMorphism(_tensor_objects(x.src, y.src),
+                           _tensor_objects(x.dst, y.dst),
+                           ordinal_sum(x.map, y.map))
     raise InputError("tensor needs two objects or two morphisms")
 
 

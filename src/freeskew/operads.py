@@ -14,18 +14,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .ordmaps import InputError
-from .tamari import Leaf, Node, tamari_bottom, tamari_top
+from .tamari import Lbf, tamari_bottom, tamari_top
 from .fsk import (
     FskMorphism,
     FskObject,
     GENERATOR,
+    UNIT,
     hom,
     is_fsk_injection,
-    object_from_word,
-    object_to_word,
 )
 
 
@@ -117,17 +117,24 @@ def r_of(x: LElement) -> int:
 
 
 def s_substitute_objects(g: FskObject, fs: Sequence[FskObject]) -> FskObject:
-    """Substitute words for the generators of g, left to right."""
+    """Substitute words for the generators of g, left to right.
+
+    Letter j of g becomes a block, the next word of fs or a unit, with
+    its lbf shifted by the block's offset, except the last entry: there
+    g's pair splitting after j opens, at the offset of block g.s(j).
+    """
     if len(fs) != g.grade:
         raise InputError(f"{g!r} has grade {g.grade}, got {len(fs)} arguments")
-    replacements = iter([object_to_word(f) for f in fs])
-
-    def graft(tree):
-        if isinstance(tree, Leaf):
-            return next(replacements) if tree.label == "X" else tree
-        return Node(graft(tree.left), graft(tree.right))
-
-    return object_from_word(graft(object_to_word(g)))
+    args = iter(fs)
+    blocks = [next(args) if j in g.u else UNIT for j in range(g.m)]
+    offsets = list(accumulate((block.m for block in blocks), initial=0))
+    u = tuple(offset + i for offset, block in zip(offsets, blocks) for i in block.u)
+    values: list[int] = []
+    for j, (offset, block) in enumerate(zip(offsets, blocks)):
+        values.extend(offset + v for v in block.s.values[:-1])
+        values.append(offsets[g.s(j)])
+    values[-1] = offsets[-1] - 1  # the top entry is forced
+    return FskObject(offsets[-1], u, Lbf(tuple(values)))
 
 
 def s_circ(g: FskObject, i: int, f: FskObject) -> FskObject:

@@ -4,14 +4,15 @@ A left bracketing function (lbf) on ord m is an endofunction encoding a
 binary bracketing of an m-fold product; under the pointwise order the
 lbfs on ord m form the Tamari lattice.  Right bracketing functions
 (rbfs) are the mirror-image encoding, obtained by reading the bracketed
-word right to left.
+word right to left; they are Huang and Tamari's bracketing vectors
+(J. Combin. Theory A 13, 1972).  Nothing here builds a bracket tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Sequence
 
 from .ordmaps import InputError, MonotoneMap, right_adjoint
 
@@ -100,104 +101,6 @@ class Rbf:
         return f"Rbf({','.join(str(v) for v in self.values)})"
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """A leaf of a bracket tree, optionally labelled (e.g. "X" or "I")."""
-
-    label: str = "X"
-
-
-@dataclass(frozen=True)
-class Node:
-    """An internal node of a bracket tree: an ordered pair of subtrees."""
-
-    left: "BracketTree"
-    right: "BracketTree"
-
-
-BracketTree = Union[Leaf, Node]
-
-
-def leaf_count(tree: BracketTree) -> int:
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            count += 1
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return count
-
-
-def leaf_labels(tree: BracketTree) -> Iterator[str]:
-    """Leaf labels in left-to-right order."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node.label
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-
-
-def mirror_tree(tree: BracketTree) -> BracketTree:
-    if isinstance(tree, Leaf):
-        return tree
-    return Node(mirror_tree(tree.right), mirror_tree(tree.left))
-
-
-def tree_to_lbf(tree: BracketTree) -> Lbf:
-    """The lbf of a tree's shape (labels are ignored).
-
-    Each internal node contributes one entry: if its leftmost leaf has
-    index a and the leftmost leaf of its right child has index c, then
-    the lbf takes value a at c-1.  The top entry is forced.
-    """
-    m = leaf_count(tree)
-    values = [0] * m
-    values[m - 1] = m - 1
-
-    def walk(node: BracketTree, offset: int) -> int:
-        if isinstance(node, Leaf):
-            return 1
-        size_left = walk(node.left, offset)
-        size_right = walk(node.right, offset + size_left)
-        values[offset + size_left - 1] = offset
-        return size_left + size_right
-
-    walk(tree, 0)
-    return Lbf(tuple(values))
-
-
-def lbf_to_tree(lbf: Lbf, labels: Sequence[str] | None = None) -> BracketTree:
-    """The tree whose shape has the given lbf; inverse of tree_to_lbf.
-
-    Optional labels name the leaves left to right.
-    """
-    values = lbf.values
-    if labels is not None and len(labels) != lbf.m:
-        raise InputError(f"expected {lbf.m} labels, got {len(labels)}")
-
-    def build(a: int, b: int) -> BracketTree:
-        if a == b:
-            return Leaf(labels[a]) if labels is not None else Leaf()
-        split = max((j + 1 for j in range(a, b) if values[j] == a), default=None)
-        if split is None:
-            raise InputError(f"lbf {values} is not realizable on [{a},{b}]")
-        return Node(build(a, split - 1), build(split, b))
-
-    return build(0, lbf.m - 1)
-
-
-def _reflect(values: tuple[int, ...]) -> tuple[int, ...]:
-    # transport an endofunction of ord m across the reversal i -> m-1-i
-    m = len(values)
-    return tuple(m - 1 - values[m - 1 - j] for j in range(m))
-
-
 @lru_cache(maxsize=None)
 def lbf_to_rbf(lbf: Lbf) -> Rbf:
     """The rbf determined by an lbf: r(i) = min{j : l(j) < i <= j}.
@@ -206,34 +109,29 @@ def lbf_to_rbf(lbf: Lbf) -> Rbf:
     r(0) = 0 is forced and min of the empty set is read as m-1, the only
     convention under which the mirror-image tree carries the result.
     """
-    m = lbf.m
-    values = [0]
-    for i in range(1, m):
-        candidates = [j for j in range(i, m) if lbf.values[j] < i]
-        values.append(candidates[0] if candidates else m - 1)
-    return Rbf(tuple(values))
+    l, m = lbf.values, lbf.m
+    values = [next((j for j in range(i, m) if l[j] < i), m - 1)
+              for i in range(1, m)]
+    return Rbf((0,) + tuple(values))
 
 
 @lru_cache(maxsize=None)
 def rbf_to_lbf(rbf: Rbf) -> Lbf:
     """The unique lbf with lbf_to_rbf(lbf) = rbf.
 
-    Recovered structurally: an rbf on ord m is an lbf on the reversed
-    ordinal, so reflect, build the tree, mirror it, and read off.
+    l(j) = max{i <= j : r(i) > j}, or 0 where the set is empty; the top
+    entry is forced.  Every valid rbf is realizable, so l always exists.
     """
-    try:
-        opposite = Lbf(_reflect(rbf.values))
-        lbf = tree_to_lbf(mirror_tree(lbf_to_tree(opposite)))
-    except InputError as exc:
-        raise InputError(f"{rbf!r} does not encode a bracketing") from exc
-    if lbf_to_rbf(lbf) != rbf:
-        raise InputError(f"{rbf!r} does not encode a bracketing")
-    return lbf
+    r, m = rbf.values, rbf.m
+    values = [max((i for i in range(j + 1) if r[i] > j), default=0)
+              for j in range(m - 1)]
+    return Lbf(tuple(values) + (m - 1,))
 
 
 def tamari_opposite(lbf: Lbf) -> Lbf:
     """The same bracketing read on the reversed ordinal (an involution)."""
-    return Lbf(_reflect(lbf_to_rbf(lbf).values))
+    r, m = lbf_to_rbf(lbf).values, lbf.m
+    return Lbf(tuple(m - 1 - r[m - 1 - j] for j in range(m)))
 
 
 def tamari_leq(s: Lbf, t: Lbf) -> bool:
@@ -251,14 +149,12 @@ def tamari_join(s: Lbf, t: Lbf) -> Lbf:
 
 
 def tamari_meet(s: Lbf, t: Lbf) -> Lbf:
-    """Greatest lower bound: the join of all common lower bounds."""
+    """Greatest lower bound: the lbf of the pointwise minimum of the two
+    rbfs, since rbfs are ordered pointwise too."""
     if s.m != t.m:
         raise InputError(f"cannot meet lbfs on ord {s.m} and ord {t.m}")
-    lower = [u for u in enumerate_tamari(s.m)
-             if tamari_leq(u, s) and tamari_leq(u, t)]
-    # the bottom element is always a common lower bound
-    values = tuple(max(u.values[j] for u in lower) for j in range(s.m))
-    return Lbf(values)
+    r_s, r_t = lbf_to_rbf(s).values, lbf_to_rbf(t).values
+    return rbf_to_lbf(Rbf(tuple(min(a, b) for a, b in zip(r_s, r_t))))
 
 
 @lru_cache(maxsize=None)

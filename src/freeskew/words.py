@@ -5,16 +5,20 @@ The word grammar is
     word := "I" | "X" | "(" word " " word ")"
 
 with arbitrary whitespace between tokens; pairs are strictly binary.
+Words are read into triples and written from them without recursion.
+Bracket trees, the other form of a word, appear nowhere else.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Sequence, Union
 
 from .ordmaps import InputError, MonotoneMap
-from .tamari import BracketTree, Lbf, Leaf, Node
-from .fsk import FskMorphism, FskObject, object_from_word, object_to_word
+from .tamari import Lbf, lbf_to_rbf
+from .fsk import FskMorphism, FskObject
 
 
 class WordSyntaxError(InputError):
@@ -25,53 +29,154 @@ class WordSyntaxError(InputError):
         self.offset = offset
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+@dataclass(frozen=True)
+class Leaf:
+    """A leaf of a bracket tree, optionally labelled (e.g. "X" or "I")."""
+
+    label: str = "X"
 
 
-def _parse(text: str, pos: int) -> tuple[BracketTree, int]:
-    pos = _skip_ws(text, pos)
-    if pos >= len(text):
-        raise WordSyntaxError("unexpected end of input", pos)
-    char = text[pos]
-    if char in ("I", "X"):
-        return Leaf(char), pos + 1
-    if char == "(":
-        left, pos = _parse(text, pos + 1)
-        right, pos = _parse(text, pos)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise WordSyntaxError("unbalanced parenthesis", pos)
-        if text[pos] != ")":
-            raise WordSyntaxError(f"expected ')', found {text[pos]!r}", pos)
-        return Node(left, right), pos + 1
-    raise WordSyntaxError(f"expected 'I', 'X' or '(', found {char!r}", pos)
+@dataclass(frozen=True)
+class Node:
+    """An internal node of a bracket tree: an ordered pair of subtrees."""
+
+    left: "BracketTree"
+    right: "BracketTree"
+
+
+BracketTree = Union[Leaf, Node]
+
+
+def _read_tree(tree: BracketTree) -> tuple[list[str], tuple[int, ...]]:
+    """The leaf labels, left to right, and the lbf values of a tree.
+
+    Each internal node contributes one entry: if its leftmost leaf has
+    index a and the leftmost leaf of its right child has index c, then
+    the lbf takes value a at c-1.  The top entry is forced.
+    """
+    labels: list[str] = []
+    values: list[int] = []
+    stack: list[tuple[BracketTree, int | None]] = [(tree, None)]
+    while stack:
+        node, opened = stack.pop()
+        if opened is not None:
+            values.append(opened)
+        if isinstance(node, Leaf):
+            labels.append(node.label)
+        else:
+            stack.append((node.right, len(labels)))
+            stack.append((node.left, None))
+    return labels, tuple(values) + (len(labels) - 1,)
+
+
+def leaf_count(tree: BracketTree) -> int:
+    return len(_read_tree(tree)[0])
+
+
+def tree_to_lbf(tree: BracketTree) -> Lbf:
+    """The lbf of a tree's shape (labels are ignored)."""
+    return Lbf(_read_tree(tree)[1])
+
+
+def lbf_to_tree(lbf: Lbf, labels: Sequence[str] | None = None) -> BracketTree:
+    """The tree whose shape has the given lbf; inverse of tree_to_lbf.
+
+    Optional labels name the leaves left to right.
+    """
+    if labels is not None and len(labels) != lbf.m:
+        raise InputError(f"expected {lbf.m} labels, got {len(labels)}")
+    # the pair whose right half starts at i >= 1 ends at letter r(i)
+    closings = Counter(lbf_to_rbf(lbf).values[1:])
+    stack: list[BracketTree] = []
+    for j, label in enumerate(labels or ["X"] * lbf.m):
+        stack.append(Leaf(label))
+        for _ in range(closings[j]):
+            right = stack.pop()
+            stack.append(Node(stack.pop(), right))
+    return stack[0]
+
+
+def object_from_word(tree: BracketTree) -> FskObject:
+    """Read a labelled tree as a triple: X-positions plus tree shape."""
+    labels, values = _read_tree(tree)
+    bad = sorted(set(labels) - {"X", "I"})
+    if bad:
+        raise InputError(f"leaf labels must be X or I, got {bad}")
+    u = tuple(i for i, label in enumerate(labels) if label == "X")
+    return FskObject(len(labels), u, Lbf(values))
+
+
+def _letters(obj: FskObject) -> list[str]:
+    generators = set(obj.u)
+    return ["X" if i in generators else "I" for i in range(obj.m)]
+
+
+def object_to_word(obj: FskObject) -> BracketTree:
+    """The labelled tree of an object; inverse of object_from_word."""
+    return lbf_to_tree(obj.s, _letters(obj))
+
+
+def parse_object(text: str) -> FskObject:
+    """Parse a bracketed word into its triple; raises WordSyntaxError with
+    a byte offset.
+
+    The stack holds each open pair's first letter, topped by None once
+    its left word is complete, which is when the lbf takes that letter.
+    """
+    u: list[int] = []
+    values: list[int] = []
+    stack: list[int | None] = []
+    m = 0
+    closing = False  # a pair's right word is complete: ')' comes next
+    for pos, char in enumerate(text):
+        if char.isspace():
+            continue
+        if m and not stack:
+            raise WordSyntaxError(f"trailing input {char!r}", pos)
+        if closing:
+            if char != ")":
+                raise WordSyntaxError(f"expected ')', found {char!r}", pos)
+            del stack[-2:]
+        elif char == "(":
+            stack.append(m)
+            continue
+        elif char in ("I", "X"):
+            if char == "X":
+                u.append(m)
+            m += 1
+        else:
+            raise WordSyntaxError(
+                f"expected 'I', 'X' or '(', found {char!r}", pos)
+        closing = bool(stack) and stack[-1] is None
+        if stack and not closing:
+            values.append(stack[-1])
+            stack.append(None)
+    if not m or stack:
+        message = "unbalanced parenthesis" if closing else "unexpected end of input"
+        raise WordSyntaxError(message, len(text))
+    return FskObject(m, tuple(u), Lbf(tuple(values) + (m - 1,)))
+
+
+def format_object(obj: FskObject) -> str:
+    """Canonical minimal-whitespace form; parse_object inverts it.
+
+    A pair opens before letter a once for every j < m-1 with S(j) = a,
+    and closes after letter b once for every i >= 1 with r_S(i) = b.
+    """
+    openings = Counter(obj.s.values[:-1])
+    closings = Counter(lbf_to_rbf(obj.s).values[1:])
+    return " ".join("(" * openings[i] + letter + ")" * closings[i]
+                    for i, letter in enumerate(_letters(obj)))
 
 
 def parse_word(text: str) -> BracketTree:
-    """Parse a bracketed word; raises WordSyntaxError with a byte offset."""
-    tree, pos = _parse(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise WordSyntaxError(f"trailing input {text[pos]!r}", pos)
-    return tree
+    """Parse a bracketed word into its tree; see parse_object."""
+    return object_to_word(parse_object(text))
 
 
 def format_word(tree: BracketTree) -> str:
     """Canonical minimal-whitespace form; parse_word(format_word(t)) == t."""
-    if isinstance(tree, Leaf):
-        return tree.label
-    return f"({format_word(tree.left)} {format_word(tree.right)})"
-
-
-def parse_object(text: str) -> FskObject:
-    return object_from_word(parse_word(text))
-
-
-def format_object(obj: FskObject) -> str:
-    return format_word(object_to_word(obj))
+    return format_object(object_from_word(tree))
 
 
 def parse_values(text: str) -> tuple[int, ...]:

@@ -13,16 +13,16 @@ from freeskew.ordmaps import (
     epi_mono_factorize,
     right_adjoint,
 )
-from freeskew.tamari import (
-    Lbf,
+from freeskew.tamari import Lbf, enumerate_tamari, lbf_to_rbf
+from freeskew.fsk import FskObject
+from freeskew.words import (
     Leaf,
     Node,
-    enumerate_tamari,
     lbf_to_tree,
-    mirror_tree,
+    object_from_word,
+    object_to_word,
     tree_to_lbf,
 )
-from freeskew.fsk import FskObject
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -119,6 +119,73 @@ def brute_second_right_adjoint(phi):
     values = tuple(max(j for j in range(phi.cod) if star.images[j] <= i)
                    for i in range(phi.dom))
     return MonotoneMap(phi.dom, phi.cod, values)
+
+
+# ---------------------------------------------------------------------------
+# the tree route
+#
+# The library works on triples only.  These recompute the same results
+# the way the definitions read: by building bracket trees, grafting or
+# mirroring them, and reading the triple back off.
+# ---------------------------------------------------------------------------
+
+
+def mirror_tree(tree):
+    if isinstance(tree, Leaf):
+        return tree
+    return Node(mirror_tree(tree.right), mirror_tree(tree.left))
+
+
+def graft_tensor(a, b):
+    """The tensor of two objects: the tree with the two words as halves."""
+    return object_from_word(Node(object_to_word(a), object_to_word(b)))
+
+
+def graft_substitute(g, fs):
+    """Substitution: graft the words fs onto the X leaves of g in order."""
+    replacements = iter([object_to_word(f) for f in fs])
+
+    def graft(tree):
+        if isinstance(tree, Leaf):
+            return next(replacements) if tree.label == "X" else tree
+        return Node(graft(tree.left), graft(tree.right))
+
+    return object_from_word(graft(object_to_word(g)))
+
+
+def mirror_lbf_values(rbf):
+    """The lbf with the given rbf, via the mirror-image tree.
+
+    An rbf on ord m is an lbf on the reversed ordinal: reflect it, build
+    its tree, mirror the tree and read the lbf off.  The round trip
+    through lbf_to_rbf must give the rbf back.
+    """
+    m = rbf.m
+    opposite = Lbf(tuple(m - 1 - rbf.values[m - 1 - j] for j in range(m)))
+    lbf = tree_to_lbf(mirror_tree(lbf_to_tree(opposite)))
+    assert lbf_to_rbf(lbf) == rbf
+    return lbf.values
+
+
+def tree_text(tree):
+    """The canonical text of a tree, written recursively."""
+    if isinstance(tree, Leaf):
+        return tree.label
+    return f"({tree_text(tree.left)} {tree_text(tree.right)})"
+
+
+def tree_of_text(text):
+    """The tree of a word in canonical text, by recursive descent."""
+    def parse(pos):
+        if text[pos] != "(":
+            return Leaf(text[pos]), pos + 1
+        left, pos = parse(pos + 1)
+        right, pos = parse(pos + 1)  # past the separating space
+        return Node(left, right), pos + 1  # past the ')'
+
+    tree, end = parse(0)
+    assert end == len(text)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,15 @@ from itertools import combinations, product
 
 from freeskew.ordmaps import right_adjoint, second_right_adjoint
 from freeskew.tamari import (
-    Leaf,
-    Node,
     base_change_inj,
     base_change_surj,
     conjugate_surj,
     enumerate_tamari,
     lbf_to_rbf,
-    lbf_to_tree,
     rbf_to_lbf,
     tamari_join,
     tamari_leq,
     tamari_meet,
-    tree_to_lbf,
 )
 import freeskew.fsk as fsk
 from freeskew.fsk import (
@@ -65,7 +61,7 @@ from freeskew.operads import (
     initial_in_grade,
     terminal_in_grade,
 )
-from freeskew.words import format_object
+from freeskew.words import Leaf, Node, format_object, lbf_to_tree, tree_to_lbf
 
 from oracles import (
     CATALAN,

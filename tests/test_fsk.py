@@ -1,7 +1,7 @@
 import pytest
 
 from freeskew.ordmaps import InputError, MonotoneMap
-from freeskew.tamari import Lbf, Leaf, Node, enumerate_tamari, tamari_leq
+from freeskew.tamari import Lbf, enumerate_tamari, tamari_leq
 from freeskew.fsk import (
     GENERATOR as X,
     FskMorphism,
@@ -28,13 +28,12 @@ from freeskew.fsk import (
     is_shrink,
     is_swell,
     lambda_,
-    object_from_word,
-    object_to_word,
     rho,
     tensor,
 )
+from freeskew.words import Leaf, Node, object_from_word, object_to_word
 
-from oracles import all_bottom_maps, all_objects, objects_up_to
+from oracles import all_bottom_maps, all_objects, graft_tensor, objects_up_to
 
 
 def obj(m, u, values):
@@ -204,6 +203,12 @@ class TestTensor:
         assert f.map.images == (0, 1, 1)
         assert f.src == obj(3, (0, 2), (0, 1, 2))
         assert f.dst == obj(2, (0, 1), (0, 1))
+
+    def test_matches_graft_oracle(self):
+        small = objects_up_to(4)
+        for a in small:
+            for b in small:
+                assert tensor(a, b) == graft_tensor(a, b)
 
     def test_mixed_arguments_rejected(self):
         with pytest.raises(InputError):

@@ -34,7 +34,7 @@ from freeskew.operads import (
     terminal_in_grade,
 )
 
-from oracles import objects_up_to
+from oracles import graft_substitute, objects_up_to
 
 
 def obj(m, u, values):
@@ -167,6 +167,13 @@ class TestSubstituteObjects:
                     continue
                 built = s_substitute_objects(g, list(fs))
                 assert q_of(built) == l_substitute(q_of(g), [q_of(f) for f in fs])
+
+    def test_matches_graft_oracle(self):
+        gs = [g for g in objects_up_to(4) if g.grade <= 2]
+        small = objects_up_to(3)
+        for g in gs:
+            for fs in product(small, repeat=g.grade):
+                assert s_substitute_objects(g, fs) == graft_substitute(g, fs)
 
     def test_single_slot(self):
         assert s_circ(tensor(X, X), 2, tensor(X, X)) == tensor(X, tensor(X, X))

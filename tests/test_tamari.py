@@ -3,8 +3,6 @@ import pytest
 from freeskew.ordmaps import InputError, MonotoneMap, right_adjoint
 from freeskew.tamari import (
     Lbf,
-    Leaf,
-    Node,
     Rbf,
     base_change_inj,
     base_change_surj,
@@ -12,8 +10,6 @@ from freeskew.tamari import (
     conjugate_surj,
     enumerate_tamari,
     lbf_to_rbf,
-    lbf_to_tree,
-    leaf_count,
     rbf_to_lbf,
     tamari_bottom,
     tamari_join,
@@ -21,10 +17,10 @@ from freeskew.tamari import (
     tamari_meet,
     tamari_opposite,
     tamari_top,
-    tree_to_lbf,
     validate_lbf,
     validate_rbf,
 )
+from freeskew.words import Leaf, Node, lbf_to_tree, leaf_count, tree_to_lbf
 
 from oracles import (
     CATALAN,
@@ -34,6 +30,7 @@ from oracles import (
     brute_join,
     brute_lbfs,
     brute_meet,
+    mirror_lbf_values,
     mirror_rbf_values,
 )
 
@@ -113,11 +110,12 @@ class TestOrderAndLattice:
         assert tamari_meet(Lbf((0, 1, 0, 3)), Lbf((0, 0, 2, 3))).values == (0, 0, 0, 3)
 
     def test_lattice_operations_against_brute_force(self):
-        for m in range(1, 6):
+        for m in range(1, 8):
             lattice = enumerate_tamari(m)
             for s in lattice:
                 for t in lattice:
-                    assert tamari_join(s, t) == brute_join(s, t)
+                    if m <= 5:
+                        assert tamari_join(s, t) == brute_join(s, t)
                     assert tamari_meet(s, t) == brute_meet(s, t)
 
 
@@ -133,9 +131,11 @@ class TestRbfConversion:
         assert rbf_to_lbf(Rbf((0, 1, 2, 3))).values == (0, 0, 0, 3)
 
     def test_matches_mirror_tree_oracle(self):
-        for m in range(1, 7):
+        for m in range(1, 10):
             for s in enumerate_tamari(m):
                 assert lbf_to_rbf(s).values == mirror_rbf_values(s, lbf_to_tree)
+                r = lbf_to_rbf(s)
+                assert rbf_to_lbf(r).values == mirror_lbf_values(r)
 
     def test_mutually_inverse(self):
         for m in range(1, 8):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from freeskew import cli, fsk, operads, ordmaps, tamari
 from freeskew.ordmaps import InputError, MonotoneMap
-from freeskew.tamari import Leaf, Node
 from freeskew.fsk import hom, lambda_, rho, tensor, GENERATOR as X, UNIT as I
 from freeskew.words import (
+    Leaf,
+    Node,
     WordSyntaxError,
     format_morphism,
     format_object,
@@ -14,6 +16,7 @@ from freeskew.words import (
     morphism_to_json,
     object_from_json,
     object_to_json,
+    object_to_word,
     parse_lbf,
     parse_map,
     parse_morphism,
@@ -22,7 +25,11 @@ from freeskew.words import (
 )
 from freeskew.cli import main
 
-from oracles import objects_up_to
+from oracles import objects_up_to, tree_of_text, tree_text
+
+# the 1,501-leaf combs, nested 1,500 deep
+LEFT_COMB = "(" * 1500 + "X" + " X)" * 1500
+RIGHT_COMB = "(X " * 1500 + "X" + ")" * 1500
 
 
 class TestParseWord:
@@ -62,10 +69,18 @@ class TestFormatWord:
         assert format_word(parse_word(target)) == target
 
     def test_round_trip_all_small_words(self):
-        for a in objects_up_to(5):
+        for a in objects_up_to(6):
             text = format_object(a)
             assert parse_object(text) == a
             assert format_word(parse_word(text)) == text
+            assert text == tree_text(object_to_word(a))
+            assert parse_word(text) == tree_of_text(text)
+
+    @pytest.mark.parametrize("text", [LEFT_COMB, RIGHT_COMB], ids=["left", "right"])
+    def test_deep_words_round_trip(self, text):
+        # compare text, not trees: dataclass == recurses on depth
+        assert format_word(parse_word(text)) == text
+        assert format_object(parse_object(text)) == text
 
 
 class TestTextAndJsonForms:
@@ -202,7 +217,43 @@ class TestCli:
         code, _, err = run(capsys, "compose", "(X I)", "X", "X", "0,0", "0")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("text", [LEFT_COMB, RIGHT_COMB], ids=["left", "right"])
+    def test_deep_words(self, capsys, text):
+        code, out, err = run(capsys, "obj", "parse", text)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == f"word: {text}"
+        identity_map = ",".join(str(i) for i in range(1501))
+        code, out, err = run(capsys, "check", text, text, identity_map)
+        assert code == 0 and err == ""
+        assert out.strip() == "true"
+
+    def test_tamari_enum_size_cap(self, capsys, monkeypatch):
+        def refuse(m):
+            raise AssertionError("enumerated past the cap")
+        monkeypatch.setattr(cli, "enumerate_tamari", refuse)
+        code, out, err = run(capsys, "tamari", "enum", str(cli.MAX_TAMARI_ENUM + 1))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(cli.MAX_TAMARI_ENUM) in err
+
+    def test_axioms_size_cap(self, capsys, monkeypatch):
+        def refuse(total, count):
+            raise AssertionError("enumerated past the cap")
+        monkeypatch.setattr(cli, "_object_tuples", refuse)
+        code, out, err = run(capsys, "axioms", "--max-leaves",
+                             str(cli.MAX_AXIOM_LEAVES + 1))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(cli.MAX_AXIOM_LEAVES) in err
+
     def test_determinism(self, capsys):
         first = run(capsys, "hom", "((I X) X)", "(I (X X))")
         second = run(capsys, "hom", "((I X) X)", "(I (X X))")
         assert first == second
+
+
+class TestBoundary:
+    def test_core_binds_no_tree(self):
+        # bracket trees are a text form; the core computes on triples only
+        tree_names = {"Leaf", "Node", "BracketTree", "lbf_to_tree",
+                      "tree_to_lbf", "object_to_word", "object_from_word"}
+        for module in (ordmaps, tamari, fsk, operads):
+            assert not tree_names & set(vars(module)), module.__name__
