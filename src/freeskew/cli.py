@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
 
 from .ordmaps import InputError
 from .tamari import enumerate_tamari, tamari_join, tamari_leq
 from . import fsk
 from .fsk import (
     FskMorphism,
-    FskObject,
     axiom_alpha_lambda,
     axiom_alpha_rho,
     axiom_lambda_rho,
@@ -24,7 +22,9 @@ from .fsk import (
     axiom_rho_alpha_lambda,
     factor_general,
     hom,
+    hom_candidate_count,
     is_morphism,
+    objects_on,
 )
 from .operads import LElement, counit_at, h_colax, h_of
 from .words import (
@@ -41,9 +41,13 @@ from .words import (
 
 
 # Size limits, so that no input asks for unbounded work: Catalan(13) =
-# 742,900 lbfs, and the axiom sweep the acceptance suite runs.
+# 742,900 lbfs; the axiom sweep the acceptance suite runs; about a
+# second of filtering hom candidates; and operad words whose quadratic
+# bracket check takes about a second.
 MAX_TAMARI_ENUM = 14
 MAX_AXIOM_LEAVES = 8
+MAX_HOM_CANDIDATES = 100_000
+MAX_OPERAD_ARITY = 1500
 
 
 class _UsageError(Exception):
@@ -98,7 +102,12 @@ def _cmd_obj_parse(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    morphisms = hom(parse_object(args.src), parse_object(args.dst))
+    src, dst = parse_object(args.src), parse_object(args.dst)
+    count = hom_candidate_count(src, dst)
+    if count > MAX_HOM_CANDIDATES:
+        raise InputError(f"hom would test {count} candidate maps, "
+                         f"more than {MAX_HOM_CANDIDATES}")
+    morphisms = hom(src, dst)
     if args.json:
         print(dump_json([morphism_to_json(f) for f in morphisms]))
     else:
@@ -145,15 +154,6 @@ def _cmd_factor(args) -> int:
     return 0
 
 
-def _objects_with_leaves(m: int) -> list[FskObject]:
-    out = []
-    for size in range(m + 1):
-        for u in combinations(range(m), size):
-            for s in enumerate_tamari(m):
-                out.append(FskObject(m, u, s))
-    return out
-
-
 def _object_tuples(total: int, count: int):
     """All count-tuples of objects with total leaf count <= total."""
     def rec(remaining: int, slots: int):
@@ -161,7 +161,7 @@ def _object_tuples(total: int, count: int):
             yield ()
             return
         for m in range(1, remaining - slots + 2):
-            for obj in _objects_with_leaves(m):
+            for obj in objects_on(m):
                 for rest in rec(remaining - m, slots - 1):
                     yield (obj,) + rest
     yield from rec(total, count)
@@ -187,8 +187,15 @@ def _cmd_axioms(args) -> int:
     return 0 if failures == 0 else 2
 
 
+def _element(text: str) -> LElement:
+    x = LElement.from_text(text)
+    if x.arity > MAX_OPERAD_ARITY:
+        raise InputError(f"operad elements take arity <= {MAX_OPERAD_ARITY}")
+    return x
+
+
 def _cmd_operad_h(args) -> int:
-    obj = h_of(LElement.from_text(args.element))
+    obj = h_of(_element(args.element))
     if args.json:
         print(dump_json(object_to_json(obj)))
     else:
@@ -206,8 +213,7 @@ def _cmd_operad_counit(args) -> int:
 
 
 def _cmd_operad_colax(args) -> int:
-    component = h_colax(LElement.from_text(args.x), args.i,
-                        LElement.from_text(args.y))
+    component = h_colax(_element(args.x), args.i, _element(args.y))
     if args.json:
         print(dump_json(morphism_to_json(component)))
     else:

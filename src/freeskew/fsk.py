@@ -6,13 +6,16 @@ elsewhere.  A morphism is fully determined by its underlying
 order-preserving map between ordinals, so morphisms are represented as
 validated MonotoneMaps and equality of morphisms is equality of triples
 (src, dst, map).  All of it is computed on triples, never on trees.
+Hom-sets are enumerated from the generator bijection: every generator
+is pinned to its image, and only the units between the pins vary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, product
+from math import comb, prod
 
 from .ordmaps import (
     InputError,
@@ -422,14 +425,70 @@ def factor_general(f: FskMorphism) -> tuple[FskMorphism, FskObject, FskMorphism]
     return surj, middle, inj
 
 
+def _hom_blocks(a: FskObject, b: FskObject) -> list[tuple[int, int, int]] | None:
+    """The maps hom(a, b) tests, as runs of the letters 1..a.m-1 in order.
+
+    A run (k, lo, hi) is k letters whose images may be any weakly
+    increasing values in range(lo, hi).  Position 0 goes to 0, and
+    generator u_i goes to v_i as the last point of its fibre, so the
+    units after it lie strictly above v_i and at most at v_{i+1} (or the
+    top).  These are exactly the bottom-preserving maps meeting the
+    generator conditions; None when there are none.
+    """
+    if a.grade != b.grade:
+        return None
+    blocks, start, lo = [], 1, 0
+    for j, v in zip(a.u, b.u):
+        if j == 0:
+            if v != 0:
+                return None
+            lo = 1
+            continue
+        blocks += [(j - start, lo, v + 1), (1, v, v + 1)]
+        start, lo = j + 1, v + 1
+    blocks.append((a.m - start, lo, b.m))
+    blocks = [block for block in blocks if block[0]]
+    if any(low >= high for _, low, high in blocks):
+        return None
+    return blocks
+
+
+def hom_candidate_count(a: FskObject, b: FskObject) -> int:
+    """How many candidate maps hom(a, b) tests, counted without building
+    them: a product of one binomial per run of free units."""
+    blocks = _hom_blocks(a, b)
+    if blocks is None:
+        return 0
+    return prod(comb(hi - lo + k - 1, k) for k, lo, hi in blocks)
+
+
 def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
-    """All morphisms a -> b, ordered lexicographically by image tuples."""
+    """All morphisms a -> b, ordered lexicographically by image tuples.
+
+    The generator bijection pins each generator of a to its image, so
+    only the units between the pins are enumerated, block by block; each
+    candidate is then kept if it meets the bracket condition.  The work
+    is hom_candidate_count(a, b) candidate maps.
+    """
+    blocks = _hom_blocks(a, b)
+    if blocks is None:
+        return []
     out = []
-    for tail in combinations_with_replacement(range(b.m), a.m - 1):
-        phi = MonotoneMap(a.m, b.m, (0,) + tail)
+    for parts in product(*(combinations_with_replacement(range(lo, hi), k)
+                           for k, lo, hi in blocks)):
+        phi = MonotoneMap(a.m, b.m, (0,) + tuple(chain.from_iterable(parts)))
         if is_morphism(a, b, phi):
             out.append(FskMorphism(a, b, phi))
     return out
+
+
+def objects_on(m: int) -> list[FskObject]:
+    """Every object on ord m: by grade, then generator positions, then
+    bracketing in enumerate_tamari order."""
+    return [FskObject(m, u, s)
+            for size in range(m + 1)
+            for u in combinations(range(m), size)
+            for s in enumerate_tamari(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,21 @@ def h_of(x: LElement) -> FskObject:
     return FskObject(x.arity, tuple(range(x.arity)), tamari_bottom(x.arity))
 
 
+def _unique(morphisms: list[FskMorphism], what: str) -> FskMorphism:
+    if len(morphisms) != 1:
+        raise RuntimeError(f"{what} has {len(morphisms)} elements, expected 1")
+    return morphisms[0]
+
+
 def counit_at(a: FskObject) -> FskMorphism:
-    """The unique morphism from the freely rebuilt word h_of(q_of(a)) to a."""
-    morphisms = hom(h_of(q_of(a)), a)
-    assert len(morphisms) == 1, f"counit hom-set at {a!r} has {len(morphisms)} elements"
-    component = morphisms[0]
-    assert is_fsk_injection(component.src, component.dst, component.map)
+    """The unique morphism from the freely rebuilt word h_of(q_of(a)) to a.
+
+    The source holds only generators, after a unit when a starts with
+    one, so hom pins every letter and tests a single candidate map.
+    """
+    component = _unique(hom(h_of(q_of(a)), a), f"counit hom-set at {a!r}")
+    if not is_fsk_injection(component.src, component.dst, component.map):
+        raise RuntimeError(f"counit at {a!r} is not an Fsk-injection")
     return component
 
 
@@ -184,9 +193,8 @@ def h_of_lambda(n: int) -> FskMorphism:
     """The image under H of the comparison l_n <= t_n."""
     if n < 1:
         raise InputError("the comparison exists in arity >= 1 only")
-    morphisms = hom(h_of(LElement(n, "l")), h_of(LElement(n, "t")))
-    assert len(morphisms) == 1
-    return morphisms[0]
+    return _unique(hom(h_of(LElement(n, "l")), h_of(LElement(n, "t"))),
+                   f"hom-set of H(l{n} <= t{n})")
 
 
 def h_colax(x: LElement, i: int, y: LElement) -> FskMorphism:
@@ -200,7 +208,10 @@ def h_colax(x: LElement, i: int, y: LElement) -> FskMorphism:
         raise InputError(f"position {i} out of range for {x!r}")
     target = s_circ(h_of(x), i, h_of(y))
     composite = l_circ(x, i, y)
-    assert q_of(target) == composite
+    if q_of(target) != composite:
+        raise RuntimeError(f"{target!r} does not grade to {composite!r}")
     component = counit_at(target)
-    assert component.src == h_of(composite)
+    if component.src != h_of(composite):
+        raise RuntimeError(f"colax comparison at {target!r} does not start "
+                           f"at H({composite.to_text()})")
     return component

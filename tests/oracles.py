@@ -14,7 +14,7 @@ from freeskew.ordmaps import (
     right_adjoint,
 )
 from freeskew.tamari import Lbf, enumerate_tamari, lbf_to_rbf
-from freeskew.fsk import FskObject
+from freeskew.fsk import FskMorphism, is_morphism, objects_on
 from freeskew.words import (
     Leaf,
     Node,
@@ -86,12 +86,7 @@ def all_trees(m):
 
 def all_objects(m):
     """Every object on ord m, in a deterministic order."""
-    out = []
-    for size in range(m + 1):
-        for u in combinations(range(m), size):
-            for s in enumerate_tamari(m):
-                out.append(FskObject(m, u, s))
-    return out
+    return objects_on(m)
 
 
 def objects_up_to(max_m):
@@ -301,3 +296,28 @@ def general_def_brackets_ok(phi, s, t):
     return any(surj_def_brackets_ok(sigma, s, middle)
                and inj_def_brackets_ok(delta, middle, t)
                for middle in enumerate_tamari(sigma.cod))
+
+
+# ---------------------------------------------------------------------------
+# hom-sets
+# ---------------------------------------------------------------------------
+
+
+def brute_hom(a, b):
+    """The maps of all morphisms a -> b, by filtering every
+    bottom-preserving map with the definitional conditions, in
+    lexicographic order."""
+    return [phi for phi in all_bottom_maps(a.m, b.m)
+            if bij_ok_oracle(phi, a.u, b.u)
+            and general_def_brackets_ok(phi, a.s, b.s)]
+
+
+def filter_hom(a, b):
+    """hom(a, b) by generate-and-filter: every one of the C(m+n-2, m-1)
+    bottom-preserving maps is tested with is_morphism."""
+    out = []
+    for tail in combinations_with_replacement(range(b.m), a.m - 1):
+        phi = MonotoneMap(a.m, b.m, (0,) + tail)
+        if is_morphism(a, b, phi):
+            out.append(FskMorphism(a, b, phi))
+    return out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from freeskew.ordmaps import InputError, MonotoneMap
@@ -21,6 +23,7 @@ from freeskew.fsk import (
     factor_injection,
     factor_surjection,
     hom,
+    hom_candidate_count,
     identity,
     is_fsk_injection,
     is_fsk_surjection,
@@ -33,7 +36,15 @@ from freeskew.fsk import (
 )
 from freeskew.words import Leaf, Node, object_from_word, object_to_word
 
-from oracles import all_bottom_maps, all_objects, graft_tensor, objects_up_to
+from oracles import (
+    all_bottom_maps,
+    all_objects,
+    bij_ok_oracle,
+    brute_hom,
+    filter_hom,
+    graft_tensor,
+    objects_up_to,
+)
 
 
 def obj(m, u, values):
@@ -295,6 +306,43 @@ class TestHom:
             for b in all_objects(3):
                 images = [f.map.images for f in hom(a, b)]
                 assert images == sorted(images)
+
+    def test_matches_brute_force_oracle(self):
+        # every pair with m, n <= 4, different grades included; the
+        # candidates are exactly the maps meeting the generator conditions
+        objs = objects_up_to(4)
+        for a in objs:
+            for b in objs:
+                morphisms = hom(a, b)
+                assert all(f.src == a and f.dst == b for f in morphisms)
+                assert [f.map for f in morphisms] == brute_hom(a, b)
+                assert hom_candidate_count(a, b) == sum(
+                    bij_ok_oracle(phi, a.u, b.u)
+                    for phi in all_bottom_maps(a.m, b.m))
+
+    def test_matches_filter_loop_sampled(self):
+        rng = random.Random(20240601)
+
+        def word(m, grade):
+            u = sorted(rng.sample(range(m), grade))
+            return FskObject(m, tuple(u), rng.choice(enumerate_tamari(m)))
+
+        for _ in range(200):
+            m, n = rng.randint(5, 7), rng.randint(5, 7)
+            grade = rng.randint(0, min(m, n))
+            a, b = word(m, grade), word(n, grade)
+            assert hom(a, b) == filter_hom(a, b), (a, b)
+
+    def test_candidate_count_is_a_product_of_blocks(self):
+        # position 0 goes to 0, then one unit in [0, 2], two in (2, 4]
+        # and one in (4, 6]
+        a = obj(7, (2, 5), range(7))
+        b = obj(7, (2, 4), range(7))
+        assert hom_candidate_count(a, b) == 3 * 3 * 2
+        assert hom_candidate_count(a, obj(7, (2, 6), range(7))) == 0
+        assert hom_candidate_count(a, obj(7, (2,), range(7))) == 0
+        assert hom_candidate_count(X, obj(2, (1,), (0, 1))) == 0
+        assert hom_candidate_count(II, II) == 2
 
 
 class TestFactorSurjection:

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+from freeskew import operads
 from freeskew.ordmaps import InputError
 from freeskew.tamari import Lbf
 from freeskew.fsk import (
@@ -13,6 +17,7 @@ from freeskew.fsk import (
     compose,
     hom,
     identity,
+    lambda_,
     rho,
     tensor,
 )
@@ -272,3 +277,49 @@ class TestColaxComparison:
         assert compose(rebracket, other) == one_step
         # the first-slot leg of the square is an identity (LBC)
         assert s_circ(h_of(t2), 2, h_colax(t2, 1, t2).dst) == one_step.dst
+
+
+class TestContracts:
+    """The uniqueness and shape promises are checks that raise
+    RuntimeError, a library fault, not InputError, a usage error."""
+
+    @pytest.mark.parametrize("found", [[], [identity(X), identity(X)]],
+                             ids=["none", "two"])
+    def test_hom_sets_must_be_singletons(self, monkeypatch, found):
+        monkeypatch.setattr(operads, "hom", lambda a, b: found)
+        with pytest.raises(RuntimeError, match=f"{len(found)} elements"):
+            counit_at(X)
+        with pytest.raises(RuntimeError, match=f"{len(found)} elements"):
+            h_of_lambda(2)
+
+    def test_counit_must_be_an_injection(self, monkeypatch):
+        monkeypatch.setattr(operads, "hom", lambda a, b: [lambda_(X)])
+        with pytest.raises(RuntimeError, match="not an Fsk-injection"):
+            counit_at(X)
+
+    def test_colax_target_must_grade_to_the_composite(self, monkeypatch):
+        monkeypatch.setattr(operads, "s_circ", lambda g, i, f: X)
+        with pytest.raises(RuntimeError, match="does not grade"):
+            h_colax(LElement(2, "t"), 1, LElement(2, "t"))
+
+    def test_colax_source_must_be_h_of_the_composite(self, monkeypatch):
+        monkeypatch.setattr(operads, "counit_at", lambda a: identity(X))
+        with pytest.raises(RuntimeError, match="does not start"):
+            h_colax(LElement(2, "t"), 1, LElement(2, "t"))
+
+    def test_checks_survive_optimized_mode(self):
+        script = "\n".join([
+            "from freeskew import GENERATOR, operads",
+            "assert False  # stripped under -O",
+            "operads.hom = lambda a, b: []",
+            "try:",
+            "    operads.counit_at(GENERATOR)",
+            "except RuntimeError as exc:",
+            "    print(exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(operads.__file__))
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "0 elements" in result.stdout

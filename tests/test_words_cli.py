@@ -226,6 +226,11 @@ class TestCli:
         code, out, err = run(capsys, "check", text, text, identity_map)
         assert code == 0 and err == ""
         assert out.strip() == "true"
+        # every letter is a pinned generator: one candidate map each
+        for argv in (("hom", LEFT_COMB, text), ("operad", "counit", text)):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out.splitlines() == [f"{LEFT_COMB} -> {text} ; {identity_map}"]
 
     def test_tamari_enum_size_cap(self, capsys, monkeypatch):
         def refuse(m):
@@ -243,6 +248,27 @@ class TestCli:
                              str(cli.MAX_AXIOM_LEAVES + 1))
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(cli.MAX_AXIOM_LEAVES) in err
+
+    def test_hom_size_cap(self, capsys, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("enumerated past the cap")
+        monkeypatch.setattr(cli, "hom", refuse)
+        units = "(" * 39 + "I" + " I)" * 39  # C(78, 39) candidate maps
+        code, out, err = run(capsys, "hom", units, units)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(cli.MAX_HOM_CANDIDATES) in err
+
+    def test_operad_arity_cap(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built past the cap")
+        monkeypatch.setattr(cli, "h_of", refuse)
+        monkeypatch.setattr(cli, "h_colax", refuse)
+        big = str(cli.MAX_OPERAD_ARITY + 1)
+        for argv in (("h", "t" + big), ("colax", "l" + big, "1", "t1"),
+                     ("colax", "t2", "1", "l" + big)):
+            code, out, err = run(capsys, "operad", *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and str(cli.MAX_OPERAD_ARITY) in err
 
     def test_determinism(self, capsys):
         first = run(capsys, "hom", "((I X) X)", "(I (X X))")
