@@ -8,6 +8,9 @@ validated MonotoneMaps and equality of morphisms is equality of triples
 (src, dst, map).  All of it is computed on triples, never on trees.
 Hom-sets are enumerated from the generator bijection: every generator
 is pinned to its image, and only the units between the pins vary.
+Membership has three independent criteria; the "via_search" one finds a
+middle bracketing on the image by a pruned depth-first search, never by
+scanning the Tamari lattice.
 """
 
 from __future__ import annotations
@@ -178,17 +181,61 @@ def _bracket_factor_ok(images: tuple[int, ...], cod: int,
 def _bracket_search_ok(images: tuple[int, ...], cod: int,
                        svalues: tuple[int, ...],
                        tvalues: tuple[int, ...]) -> bool:
-    # exhaust over middle bracketings R on the image
+    # Depth-first search for a middle bracketing R on the image with
+    # conj <= R and r_R <= bound, built one entry at a time.  A prefix
+    # is summed up by its open positions, a bitmask: i is open while
+    # every entry assigned at or after i is >= i.  The open positions are
+    # exactly the values the next entry may take, taking v closes every
+    # open position above v, and r_R(i) is the index of the entry that
+    # closes i (k - 1 if none does).
+    # Prunes: entry j is at least conj[j]; a prefix is dropped once an
+    # open position i has run to bound[i] < k - 1 without closing; and
+    # an open set holding one already found dead at the same depth is
+    # dead, since every prefix above conj keeps conj's open positions
+    # open, so the smaller set can copy any move of the larger one.
+    # A leaf is returned only after the explicit test.
     sigma, delta = epi_mono_factorize(MonotoneMap(len(images), cod, images))
     conj = conjugate_surj(sigma, Lbf(svalues))
     star = right_adjoint(delta)
     r_t = lbf_to_rbf(Lbf(tvalues))
-    bound = tuple(star(r_t(delta(j))) for j in range(delta.dom))
-    for middle in enumerate_tamari(sigma.cod):
-        if tamari_leq(conj, middle):
-            r_middle = lbf_to_rbf(middle)
-            if all(r_middle(j) <= bound[j] for j in range(delta.dom)):
-                return True
+    k = delta.dom
+    bound = tuple(star(r_t(delta(j))) for j in range(k))
+    due = [0] * k  # due[j]: positions i >= 1 that must close by entry j
+    for i in range(1, k):
+        if bound[i] < k - 1:
+            due[bound[i]] |= 1 << i
+    for j in range(1, k):
+        due[j] |= due[j - 1]
+    dead: list[list[int]] = [[] for _ in range(k)]
+    values = [0] * k
+
+    def moves(j: int, open_: int):
+        # at the top entry conj(k - 1) = k - 1 leaves one move
+        return (v for v in range(conj(j), j + 1) if open_ >> v & 1)
+
+    frames = [(0, 1, moves(0, 1))]
+    while frames:
+        j, open_, todo = frames[-1]
+        for v in todo:
+            values[j] = v
+            if j == k - 1:
+                middle = Lbf(tuple(values))
+                r_middle = lbf_to_rbf(middle)
+                if (tamari_leq(conj, middle)
+                        and all(r_middle(i) <= bound[i] for i in range(k))):
+                    return True
+                continue
+            still_open = open_ & ((2 << v) - 1)
+            if still_open & due[j]:
+                continue
+            nxt = still_open | 1 << (j + 1)
+            if any(d & nxt == d for d in dead[j + 1]):
+                continue
+            frames.append((j + 1, nxt, moves(j + 1, nxt)))
+            break
+        else:
+            frames.pop()
+            dead[j].append(open_)
     return False
 
 
@@ -211,7 +258,10 @@ def is_morphism(src: FskObject, dst: FskObject, phi: MonotoneMap,
     and the target bracket closings, "via_factor" factorizes phi and
     compares the two bracketings transported to its image, and
     "via_search" looks for any middle bracketing splitting phi into a
-    surjective and an injective morphism.
+    surjective and an injective morphism.  The search builds the middle
+    one entry at a time and prunes prefixes that cannot work, so its
+    work is quadratic in the image size k rather than Catalan(k - 1),
+    and it answers True only for a middle that passes the explicit test.
     """
     if phi.dom != src.m or phi.cod != dst.m:
         raise InputError(
@@ -344,7 +394,9 @@ def alpha(a: FskObject, b: FskObject, c: FskObject) -> FskMorphism:
     """The associator (ab)c -> a(bc): a rebracketing over the identity map."""
     src = _tensor_objects(_tensor_objects(a, b), c)
     dst = _tensor_objects(a, _tensor_objects(b, c))
-    assert tamari_leq(src.s, dst.s)
+    if not tamari_leq(src.s, dst.s):
+        raise RuntimeError(f"associator source {src!r} does not rebracket "
+                           f"up to {dst!r}")
     return FskMorphism(src, dst, MonotoneMap.identity(src.m))
 
 
@@ -353,7 +405,8 @@ def lambda_(a: FskObject) -> FskMorphism:
     """The left unit map Ia -> a: collapse the leading unit."""
     src = _tensor_objects(UNIT, a)
     sigma = MonotoneMap(a.m + 1, a.m, (0,) + tuple(range(a.m)))
-    assert is_shrink(src, a, sigma)
+    if not is_shrink(src, a, sigma):
+        raise RuntimeError(f"left unit map at {a!r} is not a shrink")
     return FskMorphism(src, a, sigma)
 
 
@@ -362,7 +415,8 @@ def rho(a: FskObject) -> FskMorphism:
     """The right unit map a -> aI: adjoin a trailing unit."""
     dst = _tensor_objects(a, UNIT)
     delta = MonotoneMap(a.m, a.m + 1, tuple(range(a.m)))
-    assert is_swell(a, dst, delta)
+    if not is_swell(a, dst, delta):
+        raise RuntimeError(f"right unit map at {a!r} is not a swell")
     return FskMorphism(a, dst, delta)
 
 
@@ -384,12 +438,15 @@ def factor_surjection(f: FskMorphism) -> tuple[FskObject, FskObject]:
     lifted = base_change_surj(f.map, f.dst.s)
     max_middle = FskObject(f.src.m, f.src.u, tamari_join(f.src.s, lifted))
     alt_middle = FskObject(f.dst.m, f.dst.u, conjugate_surj(f.map, f.src.s))
-    assert is_shrink(max_middle, f.dst, f.map)
-    assert compose(FskMorphism(max_middle, f.dst, f.map),
-                   FskMorphism(f.src, max_middle, MonotoneMap.identity(f.src.m))
-                   ) == f
-    assert compose(FskMorphism(alt_middle, f.dst, MonotoneMap.identity(f.dst.m)),
-                   FskMorphism(f.src, alt_middle, f.map)) == f
+    if not is_shrink(max_middle, f.dst, f.map):
+        raise RuntimeError(f"top middle of {f!r} is not a shrink source")
+    if compose(FskMorphism(max_middle, f.dst, f.map),
+               FskMorphism(f.src, max_middle, MonotoneMap.identity(f.src.m))
+               ) != f:
+        raise RuntimeError(f"top middle of {f!r} does not recompose to it")
+    if compose(FskMorphism(alt_middle, f.dst, MonotoneMap.identity(f.dst.m)),
+               FskMorphism(f.src, alt_middle, f.map)) != f:
+        raise RuntimeError(f"pushed middle of {f!r} does not recompose to it")
     return max_middle, alt_middle
 
 
@@ -401,12 +458,15 @@ def factor_injection(f: FskMorphism) -> tuple[FskObject, FskObject]:
     pushed = rbf_to_lbf(base_change_inj(f.map, lbf_to_rbf(f.src.s)))
     min_middle = FskObject(f.dst.m, f.dst.u, tamari_meet(pushed, f.dst.s))
     alt_middle = FskObject(f.src.m, f.src.u, conjugate_inj(f.map, f.dst.s))
-    assert is_swell(f.src, min_middle, f.map)
-    assert compose(FskMorphism(min_middle, f.dst, MonotoneMap.identity(f.dst.m)),
-                   FskMorphism(f.src, min_middle, f.map)) == f
-    assert compose(FskMorphism(alt_middle, f.dst, f.map),
-                   FskMorphism(f.src, alt_middle, MonotoneMap.identity(f.src.m))
-                   ) == f
+    if not is_swell(f.src, min_middle, f.map):
+        raise RuntimeError(f"bottom middle of {f!r} is not a swell target")
+    if compose(FskMorphism(min_middle, f.dst, MonotoneMap.identity(f.dst.m)),
+               FskMorphism(f.src, min_middle, f.map)) != f:
+        raise RuntimeError(f"bottom middle of {f!r} does not recompose to it")
+    if compose(FskMorphism(alt_middle, f.dst, f.map),
+               FskMorphism(f.src, alt_middle, MonotoneMap.identity(f.src.m))
+               ) != f:
+        raise RuntimeError(f"restricted middle of {f!r} does not recompose to it")
     return min_middle, alt_middle
 
 
@@ -419,9 +479,12 @@ def factor_general(f: FskMorphism) -> tuple[FskMorphism, FskObject, FskMorphism]
                        conjugate_inj(delta, f.dst.s))
     surj = FskMorphism(f.src, middle, sigma)
     inj = FskMorphism(middle, f.dst, delta)
-    assert is_fsk_surjection(surj.src, surj.dst, surj.map)
-    assert is_fsk_injection(inj.src, inj.dst, inj.map)
-    assert compose(inj, surj) == f
+    if not is_fsk_surjection(surj.src, surj.dst, surj.map):
+        raise RuntimeError(f"surjective part of {f!r} is not an Fsk-surjection")
+    if not is_fsk_injection(inj.src, inj.dst, inj.map):
+        raise RuntimeError(f"injective part of {f!r} is not an Fsk-injection")
+    if compose(inj, surj) != f:
+        raise RuntimeError(f"the parts of {f!r} do not recompose to it")
     return surj, middle, inj
 
 

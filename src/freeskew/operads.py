@@ -52,7 +52,12 @@ class LElement:
         match = _ELEMENT_RE.match(text.strip())
         if match is None:
             raise InputError(f"expected something like 't3' or 'l0', got {text!r}")
-        return cls(int(match.group(2)), match.group(1))
+        try:
+            arity = int(match.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InputError(f"arity of {text.strip()[:20]}... has "
+                             f"{len(match.group(2))} digits, too many") from None
+        return cls(arity, match.group(1))
 
     def to_text(self) -> str:
         return f"{self.kind}{self.arity}"

@@ -210,8 +210,10 @@ def base_change_surj(sigma: MonotoneMap, lbf: Lbf) -> Lbf:
         star(lbf(sigma(j))) if star(sigma(j)) == j else j
         for j in range(sigma.dom))
     result = Lbf(values)
-    assert all(result(star(h)) == star(lbf(h)) for h in range(sigma.cod))
-    assert all(sigma(result(star(h))) == lbf(h) for h in range(sigma.cod))
+    if not all(result(star(h)) == star(lbf(h)) for h in range(sigma.cod)):
+        raise RuntimeError(f"{result!r} does not lift {lbf!r} along {sigma!r}")
+    if not all(sigma(result(star(h))) == lbf(h) for h in range(sigma.cod)):
+        raise RuntimeError(f"{result!r} does not conjugate back to {lbf!r}")
     return result
 
 
@@ -232,7 +234,8 @@ def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
         delta(rbf(star(j))) if delta(star(j)) == j else j
         for j in range(delta.cod))
     result = Rbf(values)
-    assert all(result(delta(i)) == delta(rbf(i)) for i in range(delta.dom))
+    if not all(result(delta(i)) == delta(rbf(i)) for i in range(delta.dom)):
+        raise RuntimeError(f"{result!r} does not push {rbf!r} along {delta!r}")
     return result
 
 

@@ -13,7 +13,13 @@ from freeskew.ordmaps import (
     epi_mono_factorize,
     right_adjoint,
 )
-from freeskew.tamari import Lbf, enumerate_tamari, lbf_to_rbf
+from freeskew.tamari import (
+    Lbf,
+    conjugate_surj,
+    enumerate_tamari,
+    lbf_to_rbf,
+    tamari_leq,
+)
 from freeskew.fsk import FskMorphism, is_morphism, objects_on
 from freeskew.words import (
     Leaf,
@@ -296,6 +302,22 @@ def general_def_brackets_ok(phi, s, t):
     return any(surj_def_brackets_ok(sigma, s, middle)
                and inj_def_brackets_ok(delta, middle, t)
                for middle in enumerate_tamari(sigma.cod))
+
+
+def scan_search_ok(images, cod, svalues, tvalues):
+    """The via_search bracket condition by scanning every lbf R on the
+    image, Catalan(k - 1) of them, for conj <= R and r_R <= bound."""
+    sigma, delta = epi_mono_factorize(MonotoneMap(len(images), cod, images))
+    conj = conjugate_surj(sigma, Lbf(svalues))
+    star = right_adjoint(delta)
+    r_t = lbf_to_rbf(Lbf(tvalues))
+    bound = tuple(star(r_t(delta(j))) for j in range(delta.dom))
+    for middle in enumerate_tamari(sigma.cod):
+        if tamari_leq(conj, middle):
+            r_middle = lbf_to_rbf(middle)
+            if all(r_middle(j) <= bound[j] for j in range(delta.dom)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

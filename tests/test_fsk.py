@@ -1,9 +1,21 @@
+import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 
+from freeskew import fsk, tamari
 from freeskew.ordmaps import InputError, MonotoneMap
-from freeskew.tamari import Lbf, enumerate_tamari, tamari_leq
+from freeskew.tamari import (
+    Lbf,
+    Rbf,
+    base_change_inj,
+    base_change_surj,
+    enumerate_tamari,
+    tamari_leq,
+)
 from freeskew.fsk import (
     GENERATOR as X,
     FskMorphism,
@@ -34,7 +46,13 @@ from freeskew.fsk import (
     rho,
     tensor,
 )
-from freeskew.words import Leaf, Node, object_from_word, object_to_word
+from freeskew.words import (
+    Leaf,
+    Node,
+    object_from_word,
+    object_to_word,
+    parse_object,
+)
 
 from oracles import (
     all_bottom_maps,
@@ -44,6 +62,7 @@ from oracles import (
     filter_hom,
     graft_tensor,
     objects_up_to,
+    scan_search_ok,
 )
 
 
@@ -127,6 +146,62 @@ class TestIsMorphism:
                                         for mode in MODES}
                             assert len(set(verdicts.values())) == 1, \
                                 (a, b, phi, verdicts)
+
+
+def left_comb(n):
+    return "(" * (n - 1) + "X" + " X)" * (n - 1)
+
+
+def right_comb(n):
+    return "(X " * (n - 1) + "X" + ")" * (n - 1)
+
+
+class TestBracketSearch:
+    """via_search looks for the middle bracketing depth first; the scan
+    over every lbf of the image is the reference."""
+
+    def test_matches_scan_oracle_sampled(self):
+        rng = random.Random(20241018)
+        verdicts = set()
+        for _ in range(300):
+            k = rng.randint(6, 8)
+            m, cod = k + rng.randint(0, 2), k + rng.randint(0, 2)
+            # a surjection onto ord k followed by a bottom injection
+            cuts = sorted(rng.sample(range(1, m), k - 1))
+            onto = [sum(c <= j for c in cuts) for j in range(m)]
+            into = [0] + sorted(rng.sample(range(1, cod), k - 1))
+            images = tuple(into[h] for h in onto)
+            s = rng.choice(enumerate_tamari(m)).values
+            # half the targets right-bracketed, so both verdicts are common
+            t = (tuple(range(cod)) if rng.random() < 0.5
+                 else rng.choice(enumerate_tamari(cod)).values)
+            found = fsk._bracket_search_ok(images, cod, s, t)
+            assert found == scan_search_ok(images, cod, s, t), (images, s, t)
+            verdicts.add(found)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("src, dst, expected", [
+        (left_comb(40), right_comb(40), True),
+        (right_comb(40), left_comb(40), False),
+        # a search without the dead-set prune explores about 3.6x more
+        # prefixes per letter on this pair before giving up
+        (f"({left_comb(38)} (X X))", f"({right_comb(39)} X)", False),
+    ], ids=["left-right", "right-left", "near-miss"])
+    def test_forty_letters(self, src, dst, expected):
+        a, b = parse_object(src), parse_object(dst)
+
+        def give_up(signum, frame):
+            raise TimeoutError("via_search ran for 20 s on 40 letters")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(20)
+        try:
+            verdicts = {mode: is_morphism(a, b, MonotoneMap.identity(40), mode)
+                        for mode in MODES}
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert verdicts == dict.fromkeys(MODES, expected)
 
 
 class TestClassify:
@@ -473,3 +548,56 @@ class TestDual:
                     assert flags.is_shrink == dual_flags.is_swell
                     assert flags.is_swell == dual_flags.is_shrink
                     assert flags.is_tamari == dual_flags.is_tamari
+
+
+class TestContracts:
+    """The postconditions of the structure maps, the factorizations and
+    the base changes are checks that raise RuntimeError, a library
+    fault, not InputError, a usage error."""
+
+    @pytest.mark.parametrize("name, make, match", [
+        ("tamari_leq", lambda: alpha.__wrapped__(X, X, X), "associator"),
+        ("is_shrink", lambda: lambda_.__wrapped__(X), "left unit"),
+        ("is_swell", lambda: rho.__wrapped__(X), "right unit"),
+        ("is_fsk_surjection", lambda: factor_general(identity(X)),
+         "surjective part"),
+        ("is_fsk_injection", lambda: factor_general(identity(X)),
+         "injective part"),
+    ])
+    def test_structure_maps_and_factorization(self, monkeypatch, name, make,
+                                              match):
+        monkeypatch.setattr(fsk, name, lambda *args: False)
+        with pytest.raises(RuntimeError, match=match):
+            make()
+
+    def test_base_changes(self, monkeypatch):
+        # a wrong result: every bracketing built is the top one
+        def top_lbf(values):
+            return Lbf(range(len(values)))
+
+        def top_rbf(values):
+            return Rbf([0] + [len(values) - 1] * (len(values) - 1))
+
+        monkeypatch.setattr(tamari, "Lbf", top_lbf)
+        monkeypatch.setattr(tamari, "Rbf", top_rbf)
+        with pytest.raises(RuntimeError, match="does not lift"):
+            base_change_surj.__wrapped__(MonotoneMap.identity(3), Lbf((0, 0, 2)))
+        with pytest.raises(RuntimeError, match="does not push"):
+            base_change_inj.__wrapped__(MonotoneMap.identity(3), Rbf((0, 1, 2)))
+
+    def test_checks_survive_optimized_mode(self):
+        script = "\n".join([
+            "from freeskew import GENERATOR, fsk",
+            "assert False  # stripped under -O",
+            "fsk.tamari_leq = lambda s, t: False",
+            "try:",
+            "    fsk.alpha(GENERATOR, GENERATOR, GENERATOR)",
+            "except RuntimeError as exc:",
+            "    print(exc)",
+        ])
+        src = os.path.dirname(os.path.dirname(fsk.__file__))
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "associator" in result.stdout

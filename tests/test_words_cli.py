@@ -226,6 +226,14 @@ class TestCli:
         code, out, err = run(capsys, "check", text, text, identity_map)
         assert code == 0 and err == ""
         assert out.strip() == "true"
+        # the middle-bracketing search, both ways round
+        back = "true" if text == LEFT_COMB else "false"
+        for src, dst, verdict in ((LEFT_COMB, text, "true"),
+                                  (text, LEFT_COMB, back)):
+            code, out, err = run(capsys, "check", src, dst, identity_map,
+                                 "--mode", "via-search")
+            assert out.strip() == verdict and err == ""
+            assert code == (0 if verdict == "true" else 2)
         # every letter is a pinned generator: one candidate map each
         for argv in (("hom", LEFT_COMB, text), ("operad", "counit", text)):
             code, out, err = run(capsys, *argv)
@@ -269,6 +277,11 @@ class TestCli:
             code, out, err = run(capsys, "operad", *argv)
             assert code == 1 and out == ""
             assert err.startswith("error:") and str(cli.MAX_OPERAD_ARITY) in err
+
+    def test_operad_arity_with_too_many_digits(self, capsys):
+        # more digits than int() converts on Python 3.11+
+        code, out, err = run(capsys, "operad", "h", "t" + "9" * 5000)
+        assert code == 1 and out == "" and err.startswith("error:")
 
     def test_determinism(self, capsys):
         first = run(capsys, "hom", "((I X) X)", "(I (X X))")
