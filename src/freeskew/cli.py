@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (including true verdicts), 1 for usage or
 parse errors, 2 for well-formed queries whose answer is negative (for
-example `check` on a map that is not a morphism).
+example `check` on a map that is not a morphism), 3 when a contract
+check inside the library fails (a fault in freeskew, not in the input).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .ordmaps import InputError
-from .tamari import enumerate_tamari, tamari_join, tamari_leq
+from .tamari import iter_tamari, tamari_join, tamari_leq
 from . import fsk
 from .fsk import (
     FskMorphism,
@@ -42,8 +43,8 @@ from .words import (
 
 # Size limits, so that no input asks for unbounded work: Catalan(13) =
 # 742,900 lbfs; the axiom sweep the acceptance suite runs; about a
-# second of filtering hom candidates; and operad words whose quadratic
-# bracket check takes about a second.
+# second of filtering hom candidates; and operad words as long as the
+# 1,501-letter combs the deep-word tests run.
 MAX_TAMARI_ENUM = 14
 MAX_AXIOM_LEAVES = 8
 MAX_HOM_CANDIDATES = 100_000
@@ -67,9 +68,14 @@ def _verdict(flag: bool) -> int:
 def _cmd_tamari_enum(args) -> int:
     if args.m > MAX_TAMARI_ENUM:
         raise InputError(f"tamari enum takes M <= {MAX_TAMARI_ENUM}")
-    lbfs = enumerate_tamari(args.m)
+    lbfs = iter_tamari(args.m)
     if args.json:
-        print(dump_json([list(lbf.values) for lbf in lbfs]))
+        # the array dump_json would write, one lbf at a time
+        opener = "["
+        for lbf in lbfs:
+            sys.stdout.write(opener + dump_json(list(lbf.values)))
+            opener = ","
+        print("]")
     else:
         for lbf in lbfs:
             print(format_values(lbf.values))
@@ -156,12 +162,14 @@ def _cmd_factor(args) -> int:
 
 def _object_tuples(total: int, count: int):
     """All count-tuples of objects with total leaf count <= total."""
+    by_size = [objects_on(m) for m in range(1, total - count + 2)]
+
     def rec(remaining: int, slots: int):
         if slots == 0:
             yield ()
             return
         for m in range(1, remaining - slots + 2):
-            for obj in objects_on(m):
+            for obj in by_size[m - 1]:
                 for rest in rec(remaining - m, slots - 1):
                     yield (obj,) + rest
     yield from rec(total, count)
@@ -321,6 +329,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ Hom-sets are enumerated from the generator bijection: every generator
 is pinned to its image, and only the units between the pins vary.
 Membership has three independent criteria; the "via_search" one finds a
 middle bracketing on the image by a pruned depth-first search, never by
-scanning the Tamari lattice.
+scanning the Tamari lattice.  The generator condition and the "direct"
+bracket check are single linear passes over the map, memoized under the
+bounded cache policy of ordmaps; the structure maps (identities, tensors
+of objects, alpha, lambda_, rho) keep unbounded caches.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from math import comb, prod
 from .ordmaps import (
     InputError,
     MonotoneMap,
+    bounded_cache,
     epi_mono_factorize,
     ordinal_sum,
     right_adjoint,
@@ -127,47 +131,46 @@ class MorphismClass:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def _bij_ok(images: tuple[int, ...], cod: int,
             u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     # the map and its right adjoint must restrict to inverse bijections u <-> v
     star = ordmaps._radj(images, cod)
-    return (all(images[j] in v for j in u)
-            and all(star[i] in u for i in v)
+    u_set, v_set = set(u), set(v)
+    return (all(images[j] in v_set for j in u)
+            and all(star[i] in u_set for i in v)
             and all(star[images[j]] == j for j in u)
             and all(images[star[i]] == i for i in v))
 
 
-@lru_cache(maxsize=None)
-def _rbf_values(values: tuple[int, ...]) -> tuple[int, ...]:
-    return lbf_to_rbf(Lbf(values)).values
-
-
-@lru_cache(maxsize=None)
+@bounded_cache
 def _bracket_direct_ok(images: tuple[int, ...],
                        svalues: tuple[int, ...],
                        tvalues: tuple[int, ...]) -> bool:
     # At each occupied level h of the image, the surviving source blocks
-    # whose bracket opens strictly below h first close at level
-    # min{images[k] : k last in its fibre, images[k] >= h,
-    #     images[s(k)] < h}, with the top image as fallback; that close
-    # must come no later than the target's closing bound r_T(h).
+    # whose bracket opens strictly below h first close at the lowest
+    # level images[k] with k last in its fibre, images[k] >= h and
+    # images[s(k)] < h, with the top image as fallback; that close must
+    # come no later than the target's closing bound r_T(h).
+    # One pass over the fibres in increasing level: a stack holds the
+    # occupied levels no block has closed yet, in increasing order, so
+    # the block (level, opens) closes the ones above opens, on top.
+    r_t = lbf_to_rbf(Lbf(tvalues)).values
     m = len(images)
-    r_t = _rbf_values(tvalues)
-    top = images[m - 1]
-    blocks = [(images[k], images[svalues[k]])
-              for k in range(m) if k == m - 1 or images[k] < images[k + 1]]
-    for h in set(images):
-        if h == 0:
+    pending: list[int] = []
+    for k, level in enumerate(images):
+        if k < m - 1 and level == images[k + 1]:
             continue
-        close = min((level for level, opens in blocks
-                     if level >= h and opens < h), default=top)
-        if close > r_t[h]:
-            return False
-    return True
+        if level:
+            pending.append(level)
+        opens = images[svalues[k]]
+        while pending and pending[-1] > opens:
+            if level > r_t[pending.pop()]:
+                return False
+    top = images[m - 1]
+    return all(top <= r_t[h] for h in pending)
 
 
-@lru_cache(maxsize=None)
 def _bracket_factor_ok(images: tuple[int, ...], cod: int,
                        svalues: tuple[int, ...],
                        tvalues: tuple[int, ...]) -> bool:
@@ -177,7 +180,6 @@ def _bracket_factor_ok(images: tuple[int, ...], cod: int,
                       conjugate_inj(delta, Lbf(tvalues)))
 
 
-@lru_cache(maxsize=None)
 def _bracket_search_ok(images: tuple[int, ...], cod: int,
                        svalues: tuple[int, ...],
                        tvalues: tuple[int, ...]) -> bool:
@@ -239,7 +241,6 @@ def _bracket_search_ok(images: tuple[int, ...], cod: int,
     return False
 
 
-@lru_cache(maxsize=None)
 def _component_bij_ok(images: tuple[int, ...], cod: int,
                       u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     # generator conditions for both halves of the epi-mono factorization
@@ -356,6 +357,9 @@ def classify(f: FskMorphism) -> MorphismClass:
 # ---------------------------------------------------------------------------
 
 
+# identity, _tensor_objects, alpha, lambda_ and rho keep unbounded
+# caches: the axiom sweep asks for the same ones in every phase, so a
+# bound would only make it build them again.
 @lru_cache(maxsize=None)
 def identity(obj: FskObject) -> FskMorphism:
     return FskMorphism(obj, obj, MonotoneMap.identity(obj.m))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -69,21 +68,9 @@ class LElement:
 L_UNIT = LElement(1, "t")
 
 
-@lru_cache(maxsize=None)
-def _element(arity: int, kind: str) -> LElement:
-    return LElement(arity, kind)
-
-
 def l_leq(x: LElement, y: LElement) -> bool:
     """The order: l <= t within each arity, nothing across arities."""
     return x.arity == y.arity and (x.kind == y.kind or x.kind == "l")
-
-
-@lru_cache(maxsize=None)
-def _substitute(x: LElement, xs: tuple[LElement, ...]) -> LElement:
-    arity = sum(y.arity for y in xs)
-    kind = "t" if (x.kind == "t" and xs[0].kind == "t") else "l"
-    return _element(arity, kind)
 
 
 def l_substitute(x: LElement, xs: Sequence[LElement]) -> LElement:
@@ -93,7 +80,8 @@ def l_substitute(x: LElement, xs: Sequence[LElement]) -> LElement:
         raise InputError(f"{x!r} needs {x.arity} arguments, got {len(xs)}")
     if x.arity == 0:
         return x
-    return _substitute(x, tuple(xs))
+    kind = "t" if (x.kind == "t" and xs[0].kind == "t") else "l"
+    return LElement(sum(y.arity for y in xs), kind)
 
 
 def l_circ(x: LElement, i: int, y: LElement) -> LElement:
@@ -130,8 +118,8 @@ def s_substitute_objects(g: FskObject, fs: Sequence[FskObject]) -> FskObject:
     """
     if len(fs) != g.grade:
         raise InputError(f"{g!r} has grade {g.grade}, got {len(fs)} arguments")
-    args = iter(fs)
-    blocks = [next(args) if j in g.u else UNIT for j in range(g.m)]
+    args, generators = iter(fs), set(g.u)
+    blocks = [next(args) if j in generators else UNIT for j in range(g.m)]
     offsets = list(accumulate((block.m for block in blocks), initial=0))
     u = tuple(offset + i for offset, block in zip(offsets, blocks) for i in block.u)
     values: list[int] = []

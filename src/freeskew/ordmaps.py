@@ -3,12 +3,40 @@
 The ordinal of size m stands for {0, ..., m-1}; a map is stored as the
 dense tuple of its images.  Everything here is immutable and pure, so
 values can be shared freely between threads.
+
+The package's cache policy lives here too: bounded_cache, and
+cache_stats to report on every cache in the package.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+
+# The one policy for caches keyed by values: membership proofs and
+# bracketing conversions.  A miss costs O(m), so remembering every answer
+# buys little, and a bound keeps memory flat under a stream of point
+# queries that share little input.
+CACHE_SIZE = 4096
+bounded_cache = lru_cache(maxsize=CACHE_SIZE)
+
+
+def cache_stats() -> dict[str, dict[str, int | None]]:
+    """Hits, misses, size and maxsize (None when unbounded) of every
+    cache in the loaded freeskew modules, keyed "module.function"."""
+    stats = {}
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("freeskew."):
+            continue
+        for attr, value in sorted(vars(module).items()):
+            info = getattr(value, "cache_info", None)
+            if info is None or getattr(value, "__module__", None) != name:
+                continue
+            hits, misses, maxsize, size = info()
+            stats[f"{name.rpartition('.')[2]}.{attr}"] = {
+                "hits": hits, "misses": misses, "size": size, "maxsize": maxsize}
+    return stats
 
 
 class InputError(ValueError):
@@ -82,7 +110,7 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.dom, g.cod, tuple(g.images[v] for v in f.images))
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def _radj(images: tuple[int, ...], cod: int) -> tuple[int, ...]:
     out = []
     i = len(images) - 1

@@ -6,46 +6,69 @@ lbfs on ord m form the Tamari lattice.  Right bracketing functions
 (rbfs) are the mirror-image encoding, obtained by reading the bracketed
 word right to left; they are Huang and Tamari's bracketing vectors
 (J. Combin. Theory A 13, 1972).  Nothing here builds a bracket tree.
+
+Validating either kind and converting between them take one pass with
+a stack each, O(m).  The conversions, conjugations and changes of base
+are memoized under the package's bounded cache policy
+(ordmaps.bounded_cache); the lattices listed by enumerate_tamari are
+kept whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .ordmaps import InputError, MonotoneMap, right_adjoint
+from .ordmaps import InputError, MonotoneMap, bounded_cache, right_adjoint
 
 
 def validate_lbf(values: Sequence[int]) -> bool:
-    """True iff values is a left bracketing function on ord len(values)."""
+    """True iff values is a left bracketing function on ord len(values).
+
+    The conditions are l(m-1) = m-1, 0 <= l(j) <= j, and l(j) <= l(i)
+    for l(j) <= i < j: the intervals [l(j), j] nest or are disjoint.  One
+    pass keeps a stack of the intervals no later one contains yet; they
+    are disjoint, so those reaching l(j) are on top, and each one popped
+    is checked.
+    """
     m = len(values)
     if m == 0:
         raise InputError("empty sequence is not a bracketing function")
     if values[m - 1] != m - 1:
         return False
+    outer = [-1]  # right ends j, increasing, over a bottom no l(j) reaches
     for j, vj in enumerate(values):
-        if vj > j or vj < 0:
+        if not 0 <= vj <= j:
             return False
-        for i in range(vj, j):
-            if vj > values[i]:
+        while outer[-1] >= vj:
+            if values[outer.pop()] < vj:
                 return False
+        outer.append(j)
     return True
 
 
 def validate_rbf(values: Sequence[int]) -> bool:
-    """True iff values is a right bracketing function on ord len(values)."""
+    """True iff values is a right bracketing function on ord len(values).
+
+    The mirror image of validate_lbf: r(0) = 0, j <= r(j) < m, and
+    r(i) <= r(j) for j < i <= r(j), checked by the same stack scan run
+    from right to left.
+    """
     m = len(values)
     if m == 0:
         raise InputError("empty sequence is not a bracketing function")
     if values[0] != 0:
         return False
-    for j, vj in enumerate(values):
-        if vj < j or vj >= m:
+    outer = [m]  # left ends j, decreasing, over a bottom no r(j) reaches
+    for j in range(m - 1, -1, -1):
+        vj = values[j]
+        if not j <= vj < m:
             return False
-        for i in range(j + 1, vj + 1):
-            if values[i] > vj:
+        while outer[-1] <= vj:
+            if values[outer.pop()] > vj:
                 return False
+        outer.append(j)
     return True
 
 
@@ -101,31 +124,45 @@ class Rbf:
         return f"Rbf({','.join(str(v) for v in self.values)})"
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def lbf_to_rbf(lbf: Lbf) -> Rbf:
     """The rbf determined by an lbf: r(i) = min{j : l(j) < i <= j}.
 
     At i = 0 (and wherever the set is empty) the defining set is empty;
     r(0) = 0 is forced and min of the empty set is read as m-1, the only
     convention under which the mirror-image tree carries the result.
+    One pass: a stack holds the positions i <= j not closed yet, and
+    l(j) closes those above it; position 0 never closes.
     """
     l, m = lbf.values, lbf.m
-    values = [next((j for j in range(i, m) if l[j] < i), m - 1)
-              for i in range(1, m)]
-    return Rbf((0,) + tuple(values))
+    r = [m - 1] * m
+    r[0] = 0
+    unclosed = [0]
+    for j in range(1, m):
+        unclosed.append(j)
+        while unclosed[-1] > l[j]:
+            r[unclosed.pop()] = j
+    return Rbf(tuple(r))
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def rbf_to_lbf(rbf: Rbf) -> Lbf:
     """The unique lbf with lbf_to_rbf(lbf) = rbf.
 
     l(j) = max{i <= j : r(i) > j}, or 0 where the set is empty; the top
     entry is forced.  Every valid rbf is realizable, so l always exists.
+    One pass from right to left: a stack holds the positions j >= i not
+    assigned yet, and r(i) assigns those below it; position m-1 never
+    gets assigned.
     """
     r, m = rbf.values, rbf.m
-    values = [max((i for i in range(j + 1) if r[i] > j), default=0)
-              for j in range(m - 1)]
-    return Lbf(tuple(values) + (m - 1,))
+    l = [0] * (m - 1) + [m - 1]
+    unassigned = [m - 1]
+    for i in range(m - 2, 0, -1):
+        unassigned.append(i)
+        while unassigned[-1] < r[i]:
+            l[unassigned.pop()] = i
+    return Lbf(tuple(l))
 
 
 def tamari_opposite(lbf: Lbf) -> Lbf:
@@ -157,26 +194,32 @@ def tamari_meet(s: Lbf, t: Lbf) -> Lbf:
     return rbf_to_lbf(Rbf(tuple(min(a, b) for a, b in zip(r_s, r_t))))
 
 
+def iter_tamari(m: int) -> Iterator[Lbf]:
+    """All lbfs on ord m in lexicographic order, one at a time."""
+    if m < 1:
+        raise InputError("ordinals must be non-empty")
+    values = [0] * (m - 1) + [m - 1]
+
+    def extend(j: int, open_: list[int]) -> Iterator[Lbf]:
+        # open_: the positions i <= j with every entry from i to j - 1 at
+        # least i, in increasing order; exactly the values entry j may
+        # take, and taking v closes the open positions above v
+        if j == m - 1:
+            yield Lbf(tuple(values))
+            return
+        for k, v in enumerate(open_):
+            values[j] = v
+            yield from extend(j + 1, open_[:k + 1] + [j + 1])
+
+    yield from extend(0, [0])
+
+
+# Unbounded, like the structure maps in fsk: objects_on and the axiom
+# sweep read the same small lattices again and again.
 @lru_cache(maxsize=None)
 def enumerate_tamari(m: int) -> tuple[Lbf, ...]:
     """All lbfs on ord m in lexicographic order; there are Catalan(m-1)."""
-    if m < 1:
-        raise InputError("ordinals must be non-empty")
-    results: list[Lbf] = []
-    values = [0] * m
-
-    def extend(j: int) -> None:
-        if j == m - 1:
-            values[j] = j
-            results.append(Lbf(tuple(values)))
-            return
-        for v in range(j + 1):
-            if all(v <= values[i] for i in range(v, j)):
-                values[j] = v
-                extend(j + 1)
-
-    extend(0)
-    return tuple(results)
+    return tuple(iter_tamari(m))
 
 
 def tamari_bottom(m: int) -> Lbf:
@@ -193,7 +236,7 @@ def tamari_top(m: int) -> Lbf:
     return Lbf(tuple(range(m)))
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def base_change_surj(sigma: MonotoneMap, lbf: Lbf) -> Lbf:
     """Pull an lbf back along a surjection sigma.
 
@@ -217,7 +260,7 @@ def base_change_surj(sigma: MonotoneMap, lbf: Lbf) -> Lbf:
     return result
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
     """Push an rbf forward along a bottom-preserving injection delta.
 
@@ -239,7 +282,7 @@ def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
     return result
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def conjugate_surj(sigma: MonotoneMap, s: Lbf) -> Lbf:
     """Transport a bracketing along a surjection: sigma . l_S . sigma*."""
     if not sigma.is_surjective:
@@ -250,7 +293,7 @@ def conjugate_surj(sigma: MonotoneMap, s: Lbf) -> Lbf:
     return Lbf(tuple(sigma(s(star(j))) for j in range(sigma.cod)))
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def conjugate_inj(delta: MonotoneMap, s: Lbf) -> Lbf:
     """Restrict a bracketing along a bottom-preserving injection.
 

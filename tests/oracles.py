@@ -343,3 +343,74 @@ def filter_hom(a, b):
         if is_morphism(a, b, phi):
             out.append(FskMorphism(a, b, phi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the quadratic kernels
+#
+# The library's bracketing kernels are one-pass stack scans.  These are
+# the loops they replaced, read straight off the defining conditions.
+# ---------------------------------------------------------------------------
+
+
+def validate_lbf_loop(values):
+    """The lbf conditions: l(m-1) = m-1, 0 <= l(j) <= j, and
+    l(j) <= l(i) for every i in [l(j), j)."""
+    m = len(values)
+    if values[m - 1] != m - 1:
+        return False
+    for j, vj in enumerate(values):
+        if vj > j or vj < 0:
+            return False
+        for i in range(vj, j):
+            if vj > values[i]:
+                return False
+    return True
+
+
+def validate_rbf_loop(values):
+    """The rbf conditions: r(0) = 0, j <= r(j) < m, and r(i) <= r(j) for
+    every i in (j, r(j)]."""
+    m = len(values)
+    if values[0] != 0:
+        return False
+    for j, vj in enumerate(values):
+        if vj < j or vj >= m:
+            return False
+        for i in range(j + 1, vj + 1):
+            if values[i] > vj:
+                return False
+    return True
+
+
+def lbf_to_rbf_loop(lbf):
+    """r(i) = min{j >= i : l(j) < i}, m - 1 where empty, r(0) = 0."""
+    l, m = lbf.values, lbf.m
+    return (0,) + tuple(next((j for j in range(i, m) if l[j] < i), m - 1)
+                        for i in range(1, m))
+
+
+def rbf_to_lbf_loop(rbf):
+    """l(j) = max{i <= j : r(i) > j}, 0 where empty, l(m-1) = m-1."""
+    r, m = rbf.values, rbf.m
+    return tuple(max((i for i in range(j + 1) if r[i] > j), default=0)
+                 for j in range(m - 1)) + (m - 1,)
+
+
+def direct_min_ok(images, svalues, tvalues):
+    """The direct bracket condition, level by level: at each occupied
+    level h > 0, the first block (k last in its fibre) at or above h that
+    opens below h, or the top image, must not close past r_T(h)."""
+    m = len(images)
+    r_t = lbf_to_rbf_loop(Lbf(tvalues))
+    top = images[m - 1]
+    blocks = [(images[k], images[svalues[k]])
+              for k in range(m) if k == m - 1 or images[k] < images[k + 1]]
+    for h in set(images):
+        if h == 0:
+            continue
+        close = min((level for level, opens in blocks
+                     if level >= h and opens < h), default=top)
+        if close > r_t[h]:
+            return False
+    return True

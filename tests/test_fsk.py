@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import signal
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from freeskew import fsk, tamari
-from freeskew.ordmaps import InputError, MonotoneMap
+from freeskew.ordmaps import CACHE_SIZE, InputError, MonotoneMap, cache_stats
 from freeskew.tamari import (
     Lbf,
     Rbf,
@@ -56,9 +57,11 @@ from freeskew.words import (
 
 from oracles import (
     all_bottom_maps,
+    all_monotone_images,
     all_objects,
     bij_ok_oracle,
     brute_hom,
+    direct_min_ok,
     filter_hom,
     graft_tensor,
     objects_up_to,
@@ -146,6 +149,69 @@ class TestIsMorphism:
                                         for mode in MODES}
                             assert len(set(verdicts.values())) == 1, \
                                 (a, b, phi, verdicts)
+
+
+class TestDirectScan:
+    def test_matches_min_loop_oracle(self):
+        # every monotone map with m, n <= 5, bottom-preserving or not
+        for m in range(1, 6):
+            for n in range(1, 6):
+                for images in all_monotone_images(m, n):
+                    for s in enumerate_tamari(m):
+                        for t in enumerate_tamari(n):
+                            assert (fsk._bracket_direct_ok(images, s.values, t.values)
+                                    == direct_min_ok(images, s.values, t.values)), \
+                                (images, s, t)
+
+
+def random_word(rng, letters):
+    if len(letters) == 1:
+        return letters[0]
+    k = rng.randint(1, len(letters) - 1)
+    return f"({random_word(rng, letters[:k])} {random_word(rng, letters[k:])})"
+
+
+class TestCachePolicy:
+    BOUNDED = {"ordmaps._radj", "tamari.lbf_to_rbf", "tamari.rbf_to_lbf",
+               "tamari.conjugate_surj", "tamari.conjugate_inj",
+               "tamari.base_change_surj", "tamari.base_change_inj",
+               "fsk._bij_ok", "fsk._bracket_direct_ok"}
+    UNBOUNDED = {"tamari.enumerate_tamari", "fsk.identity",
+                 "fsk._tensor_objects", "fsk.alpha", "fsk.lambda_", "fsk.rho"}
+
+    def test_point_queries_stay_bounded(self):
+        # membership queries in all three modes plus the factorization of
+        # each morphism found, on seeded words of 8 to 14 letters
+        rng = random.Random(5000)
+        for _ in range(5000):
+            m, n = rng.randint(8, 14), rng.randint(8, 14)
+            images = (0,) + tuple(sorted(rng.choices(range(n), k=m - 1)))
+            # generators at some ends of fibres pass the bijection check
+            ends = [k for k in range(m) if k == m - 1 or images[k] < images[k + 1]]
+            u = sorted(rng.sample(ends, rng.randint(0, len(ends))))
+            v = {images[j] for j in u}
+            letters = ["X" if j in u else "I" for j in range(m)]
+            targets = ["X" if h in v else "I" for h in range(n)]
+            src = parse_object(random_word(rng, letters))
+            # half the targets bracketed all to the right, so that many
+            # queries are morphisms
+            dst = parse_object(random_word(rng, targets) if rng.random() < 0.5
+                               else "".join(f"({c} " for c in targets[:-1])
+                               + targets[-1] + ")" * (n - 1))
+            phi = MonotoneMap(m, n, images)
+            if any([is_morphism(src, dst, phi, mode) for mode in MODES]):
+                factor_general(FskMorphism(src, dst, phi))
+        stats = cache_stats()
+        json.dumps(stats)
+        # and no other: the caches that did not pay for themselves are gone
+        assert set(stats) == self.BOUNDED | self.UNBOUNDED
+        for name in self.BOUNDED:
+            assert stats[name]["maxsize"] == CACHE_SIZE
+            assert stats[name]["size"] <= CACHE_SIZE, name
+        for name in self.UNBOUNDED:
+            assert stats[name]["maxsize"] is None
+        # the queries outran the bound
+        assert stats["fsk._bracket_direct_ok"]["misses"] > CACHE_SIZE
 
 
 def left_comb(n):

@@ -1,3 +1,6 @@
+from itertools import product
+from operator import eq
+
 import pytest
 
 from freeskew.ordmaps import InputError, MonotoneMap, right_adjoint
@@ -30,8 +33,12 @@ from oracles import (
     brute_join,
     brute_lbfs,
     brute_meet,
+    lbf_to_rbf_loop,
     mirror_lbf_values,
     mirror_rbf_values,
+    rbf_to_lbf_loop,
+    validate_lbf_loop,
+    validate_rbf_loop,
 )
 
 
@@ -57,6 +64,19 @@ class TestValidate:
             Rbf((1, 1))
         with pytest.raises(InputError):
             Rbf((0, 2, 1))
+
+    @pytest.mark.parametrize("scan, loop", [(validate_lbf, validate_lbf_loop),
+                                            (validate_rbf, validate_rbf_loop)],
+                             ids=["lbf", "rbf"])
+    def test_matches_loop_oracle(self, scan, loop):
+        # every sequence over -1..m up to m = 6, every one over 0..m-1 at
+        # m = 7 and 8 (16,777,216 at m = 8)
+        ranges = [(m, range(-1, m + 1)) for m in range(1, 7)]
+        ranges += [(m, range(m)) for m in (7, 8)]
+        for m, values in ranges:
+            got = map(scan, product(values, repeat=m))
+            expected = map(loop, product(values, repeat=m))
+            assert all(map(eq, got, expected)), m
 
 
 class TestEnumerate:
@@ -131,11 +151,14 @@ class TestRbfConversion:
         assert rbf_to_lbf(Rbf((0, 1, 2, 3))).values == (0, 0, 0, 3)
 
     def test_matches_mirror_tree_oracle(self):
+        # and the quadratic loops read off the defining formulas
         for m in range(1, 10):
             for s in enumerate_tamari(m):
                 assert lbf_to_rbf(s).values == mirror_rbf_values(s, lbf_to_tree)
                 r = lbf_to_rbf(s)
                 assert rbf_to_lbf(r).values == mirror_lbf_values(r)
+                assert r.values == lbf_to_rbf_loop(s)
+                assert rbf_to_lbf(r).values == rbf_to_lbf_loop(r) == s.values
 
     def test_mutually_inverse(self):
         for m in range(1, 8):

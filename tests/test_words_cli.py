@@ -125,6 +125,11 @@ class TestCli:
         code, out, _ = run(capsys, "tamari", "enum", "3", "--json")
         assert code == 0
         assert json.loads(out) == [[0, 0, 2], [0, 1, 2]]
+        # written one lbf at a time, in the form dump_json gives the list
+        code, out, _ = run(capsys, "tamari", "enum", "1", "--json")
+        assert code == 0 and out == "[[0]]\n"
+        code, out, _ = run(capsys, "tamari", "enum", "4", "--json")
+        assert out == "[[0,0,0,3],[0,0,2,3],[0,1,0,3],[0,1,1,3],[0,1,2,3]]\n"
 
     def test_tamari_join_and_leq(self, capsys):
         code, out, _ = run(capsys, "tamari", "join", "0,1,0,3", "0,0,2,3")
@@ -243,7 +248,7 @@ class TestCli:
     def test_tamari_enum_size_cap(self, capsys, monkeypatch):
         def refuse(m):
             raise AssertionError("enumerated past the cap")
-        monkeypatch.setattr(cli, "enumerate_tamari", refuse)
+        monkeypatch.setattr(cli, "iter_tamari", refuse)
         code, out, err = run(capsys, "tamari", "enum", str(cli.MAX_TAMARI_ENUM + 1))
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(cli.MAX_TAMARI_ENUM) in err
@@ -282,6 +287,14 @@ class TestCli:
         # more digits than int() converts on Python 3.11+
         code, out, err = run(capsys, "operad", "h", "t" + "9" * 5000)
         assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_library_fault_exits_three(self, capsys, monkeypatch):
+        # a contract check inside the library fails: one line, no traceback
+        monkeypatch.setattr(operads, "hom", lambda a, b: [])
+        code, out, err = run(capsys, "operad", "counit", "(X I)")
+        assert code == 3 and out == ""
+        assert err == ("internal error: counit hom-set at "
+                       "FskObject(m=2, u={0}, s=0,1) has 0 elements, expected 1\n")
 
     def test_determinism(self, capsys):
         first = run(capsys, "hom", "((I X) X)", "(I (X X))")
