@@ -187,11 +187,15 @@ def _cmd_axioms(args) -> int:
     ]
     failures = 0
     for name, slots, check in checks:
-        tuples = [()] if slots == 0 else list(_object_tuples(args.max_leaves, slots))
-        bad = sum(1 for objs in tuples if not check(*objs))
+        tuples = [()] if slots == 0 else _object_tuples(args.max_leaves, slots)
+        count = bad = 0
+        for objs in tuples:
+            count += 1
+            if not check(*objs):
+                bad += 1
         failures += bad
         status = "ok" if bad == 0 else f"FAILED ({bad})"
-        print(f"{name}: {len(tuples)} tuples {status}")
+        print(f"{name}: {count} tuples {status}")
     return 0 if failures == 0 else 2
 
 

@@ -13,15 +13,17 @@ middle bracketing on the image by a pruned depth-first search, never by
 scanning the Tamari lattice.  The generator condition and the "direct"
 bracket check are single linear passes over the map, memoized under the
 bounded cache policy of ordmaps; the structure maps (identities, tensors
-of objects, alpha, lambda_, rho) keep unbounded caches.
+of objects, lambda_, rho) keep unbounded caches, alpha is built on each
+call, and the underlying maps of the unit maps are shared by size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, prod
+from operator import lt
 
 from .ordmaps import (
     InputError,
@@ -50,25 +52,28 @@ from .tamari import (
 MODES = ("direct", "via_factor", "via_search")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FskObject:
     """A bracketed word in X and I: ordinal size, X-positions, bracketing."""
 
     m: int
     u: tuple[int, ...]
     s: Lbf
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(self.u))
+        u = tuple(self.u)
+        object.__setattr__(self, "u", u)
         if self.m < 1:
             raise InputError("objects have at least one letter")
         if self.s.m != self.m:
             raise InputError(f"bracketing on ord {self.s.m} does not fit ord {self.m}")
-        if any(not 0 <= j < self.m for j in self.u):
-            raise InputError(f"generator positions {self.u} outside ord {self.m}")
-        if any(a >= b for a, b in zip(self.u, self.u[1:])):
-            raise InputError(f"generator positions {self.u} not strictly increasing")
-        object.__setattr__(self, "_hash", hash((self.u, self.s)))
+        # the conditions of _check_positions, run by builtins: in range
+        # at both ends and strictly increasing in between; the loops run
+        # only to raise their messages
+        if u and not (u[0] >= 0 and u[-1] < self.m and all(map(lt, u, u[1:]))):
+            _check_positions(u, self.m)
+        object.__setattr__(self, "_hash", hash((u, self.s)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -84,17 +89,26 @@ class FskObject:
         return f"FskObject(m={self.m}, u={{{u}}}, s={s})"
 
 
+def _check_positions(u: tuple[int, ...], m: int) -> None:
+    # the rejecting half of FskObject's check on u, for its messages
+    if any(not 0 <= j < m for j in u):
+        raise InputError(f"generator positions {u} outside ord {m}")
+    if any(a >= b for a, b in zip(u, u[1:])):
+        raise InputError(f"generator positions {u} not strictly increasing")
+
+
 GENERATOR = FskObject(1, (0,), Lbf((0,)))
 UNIT = FskObject(1, (), Lbf((0,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FskMorphism:
     """A morphism between bracketed words; validated at construction."""
 
     src: FskObject
     dst: FskObject
     map: MonotoneMap
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_morphism(self.src, self.dst, self.map):
@@ -126,8 +140,10 @@ class MorphismClass:
 #
 # All three decision routes share the bottom-preservation and
 # generator-bijection conditions; they differ in how the bracketings are
-# compared.  The helpers below work on raw tuples so results memoize
-# across the many objects sharing the same underlying data.
+# compared.  The bijection check works on raw tuples so its results
+# memoize across the many objects sharing the same underlying data; the
+# bracket checks take the validated map and lbfs, whose cached hashes
+# key the memo.
 # ---------------------------------------------------------------------------
 
 
@@ -144,9 +160,7 @@ def _bij_ok(images: tuple[int, ...], cod: int,
 
 
 @bounded_cache
-def _bracket_direct_ok(images: tuple[int, ...],
-                       svalues: tuple[int, ...],
-                       tvalues: tuple[int, ...]) -> bool:
+def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # At each occupied level h of the image, the surviving source blocks
     # whose bracket opens strictly below h first close at the lowest
     # level images[k] with k last in its fibre, images[k] >= h and
@@ -155,7 +169,8 @@ def _bracket_direct_ok(images: tuple[int, ...],
     # One pass over the fibres in increasing level: a stack holds the
     # occupied levels no block has closed yet, in increasing order, so
     # the block (level, opens) closes the ones above opens, on top.
-    r_t = lbf_to_rbf(Lbf(tvalues)).values
+    images, svalues = phi.images, s.values
+    r_t = lbf_to_rbf(t).values
     m = len(images)
     pending: list[int] = []
     for k, level in enumerate(images):
@@ -171,18 +186,13 @@ def _bracket_direct_ok(images: tuple[int, ...],
     return all(top <= r_t[h] for h in pending)
 
 
-def _bracket_factor_ok(images: tuple[int, ...], cod: int,
-                       svalues: tuple[int, ...],
-                       tvalues: tuple[int, ...]) -> bool:
+def _bracket_factor_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # compare the two bracketings after transporting both to the image
-    sigma, delta = epi_mono_factorize(MonotoneMap(len(images), cod, images))
-    return tamari_leq(conjugate_surj(sigma, Lbf(svalues)),
-                      conjugate_inj(delta, Lbf(tvalues)))
+    sigma, delta = epi_mono_factorize(phi)
+    return tamari_leq(conjugate_surj(sigma, s), conjugate_inj(delta, t))
 
 
-def _bracket_search_ok(images: tuple[int, ...], cod: int,
-                       svalues: tuple[int, ...],
-                       tvalues: tuple[int, ...]) -> bool:
+def _bracket_search_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # Depth-first search for a middle bracketing R on the image with
     # conj <= R and r_R <= bound, built one entry at a time.  A prefix
     # is summed up by its open positions, a bitmask: i is open while
@@ -196,10 +206,10 @@ def _bracket_search_ok(images: tuple[int, ...], cod: int,
     # dead, since every prefix above conj keeps conj's open positions
     # open, so the smaller set can copy any move of the larger one.
     # A leaf is returned only after the explicit test.
-    sigma, delta = epi_mono_factorize(MonotoneMap(len(images), cod, images))
-    conj = conjugate_surj(sigma, Lbf(svalues))
+    sigma, delta = epi_mono_factorize(phi)
+    conj = conjugate_surj(sigma, s)
     star = right_adjoint(delta)
-    r_t = lbf_to_rbf(Lbf(tvalues))
+    r_t = lbf_to_rbf(t)
     k = delta.dom
     bound = tuple(star(r_t(delta(j))) for j in range(k))
     due = [0] * k  # due[j]: positions i >= 1 that must close by entry j
@@ -241,10 +251,10 @@ def _bracket_search_ok(images: tuple[int, ...], cod: int,
     return False
 
 
-def _component_bij_ok(images: tuple[int, ...], cod: int,
+def _component_bij_ok(phi: MonotoneMap,
                       u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     # generator conditions for both halves of the epi-mono factorization
-    sigma, delta = epi_mono_factorize(MonotoneMap(len(images), cod, images))
+    sigma, delta = epi_mono_factorize(phi)
     mid = tuple(sigma(j) for j in u)
     return (_bij_ok(sigma.images, sigma.cod, u, mid)
             and _bij_ok(delta.images, delta.cod, mid, v))
@@ -274,11 +284,11 @@ def is_morphism(src: FskObject, dst: FskObject, phi: MonotoneMap,
     if not _bij_ok(phi.images, phi.cod, src.u, dst.u):
         return False
     if mode == "direct":
-        return _bracket_direct_ok(phi.images, src.s.values, dst.s.values)
+        return _bracket_direct_ok(phi, src.s, dst.s)
     if mode == "via_factor":
-        return _bracket_factor_ok(phi.images, phi.cod, src.s.values, dst.s.values)
-    return (_component_bij_ok(phi.images, phi.cod, src.u, dst.u)
-            and _bracket_search_ok(phi.images, phi.cod, src.s.values, dst.s.values))
+        return _bracket_factor_ok(phi, src.s, dst.s)
+    return (_component_bij_ok(phi, src.u, dst.u)
+            and _bracket_search_ok(phi, src.s, dst.s))
 
 
 def is_tamari(src: FskObject, dst: FskObject, phi: MonotoneMap) -> bool:
@@ -357,9 +367,10 @@ def classify(f: FskMorphism) -> MorphismClass:
 # ---------------------------------------------------------------------------
 
 
-# identity, _tensor_objects, alpha, lambda_ and rho keep unbounded
-# caches: the axiom sweep asks for the same ones in every phase, so a
-# bound would only make it build them again.
+# identity, _tensor_objects, lambda_ and rho keep unbounded caches: the
+# axiom sweep asks for the same ones in every phase, so a bound would
+# only make it build them again.  alpha keeps none: its key is three
+# objects, whose lookup costs about as much as building the morphism.
 @lru_cache(maxsize=None)
 def identity(obj: FskObject) -> FskMorphism:
     return FskMorphism(obj, obj, MonotoneMap.identity(obj.m))
@@ -393,7 +404,6 @@ def tensor(x, y):
     raise InputError("tensor needs two objects or two morphisms")
 
 
-@lru_cache(maxsize=None)
 def alpha(a: FskObject, b: FskObject, c: FskObject) -> FskMorphism:
     """The associator (ab)c -> a(bc): a rebracketing over the identity map."""
     src = _tensor_objects(_tensor_objects(a, b), c)
@@ -404,11 +414,23 @@ def alpha(a: FskObject, b: FskObject, c: FskObject) -> FskMorphism:
     return FskMorphism(src, dst, MonotoneMap.identity(src.m))
 
 
+@bounded_cache
+def _collapse_map(m: int) -> MonotoneMap:
+    # ord m+1 -> ord m, sending the leading unit and the first letter to 0
+    return MonotoneMap(m + 1, m, (0,) + tuple(range(m)))
+
+
+@bounded_cache
+def _inclusion_map(m: int) -> MonotoneMap:
+    # ord m -> ord m+1, missing only the trailing unit
+    return MonotoneMap(m, m + 1, tuple(range(m)))
+
+
 @lru_cache(maxsize=None)
 def lambda_(a: FskObject) -> FskMorphism:
     """The left unit map Ia -> a: collapse the leading unit."""
     src = _tensor_objects(UNIT, a)
-    sigma = MonotoneMap(a.m + 1, a.m, (0,) + tuple(range(a.m)))
+    sigma = _collapse_map(a.m)
     if not is_shrink(src, a, sigma):
         raise RuntimeError(f"left unit map at {a!r} is not a shrink")
     return FskMorphism(src, a, sigma)
@@ -418,7 +440,7 @@ def lambda_(a: FskObject) -> FskMorphism:
 def rho(a: FskObject) -> FskMorphism:
     """The right unit map a -> aI: adjoin a trailing unit."""
     dst = _tensor_objects(a, UNIT)
-    delta = MonotoneMap(a.m, a.m + 1, tuple(range(a.m)))
+    delta = _inclusion_map(a.m)
     if not is_swell(a, dst, delta):
         raise RuntimeError(f"right unit map at {a!r} is not a swell")
     return FskMorphism(a, dst, delta)

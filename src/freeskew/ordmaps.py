@@ -11,8 +11,9 @@ cache_stats to report on every cache in the package.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import le
 
 # The one policy for caches keyed by values: membership proofs and
 # bracketing conversions.  A miss costs O(m), so remembering every answer
@@ -47,36 +48,38 @@ class NoAdjointError(InputError):
     """The map has no right adjoint (or no second right adjoint)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneMap:
     """An order-preserving function between finite non-empty ordinals."""
 
     dom: int
     cod: int
     images: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
         if self.dom < 1 or self.cod < 1:
             raise InputError("ordinals must be non-empty")
-        if len(self.images) != self.dom:
+        if len(images) != self.dom:
             raise InputError(
-                f"expected {self.dom} images, got {len(self.images)}")
-        prev = 0
-        for i, value in enumerate(self.images):
-            if not 0 <= value < self.cod:
-                raise InputError(f"image {value} outside ord {self.cod}")
-            if value < prev:
-                raise InputError(f"images not weakly increasing at index {i}")
-            prev = value
-        object.__setattr__(self, "_hash", hash((self.cod, self.images)))
+                f"expected {self.dom} images, got {len(images)}")
+        # the conditions of _check_images, run by builtins: in range at
+        # both ends and weakly increasing in between; the loop runs only
+        # to raise its message
+        if not (images[0] >= 0 and images[-1] < self.cod
+                and all(map(le, images, images[1:]))):
+            _check_images(images, self.cod)
+        object.__setattr__(self, "_hash", hash((self.cod, images)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @classmethod
     def identity(cls, n: int) -> "MonotoneMap":
-        return cls(n, n, tuple(range(n)))
+        """The identity on ord n, one shared map per size."""
+        return _identity_map(n)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -101,6 +104,22 @@ class MonotoneMap:
     def __repr__(self) -> str:
         imgs = ",".join(str(v) for v in self.images)
         return f"MonotoneMap({self.dom}->{self.cod}; {imgs})"
+
+
+def _check_images(images: tuple[int, ...], cod: int) -> None:
+    # the rejecting half of MonotoneMap's check, for its messages
+    prev = 0
+    for i, value in enumerate(images):
+        if not 0 <= value < cod:
+            raise InputError(f"image {value} outside ord {cod}")
+        if value < prev:
+            raise InputError(f"images not weakly increasing at index {i}")
+        prev = value
+
+
+@bounded_cache
+def _identity_map(n: int) -> MonotoneMap:
+    return MonotoneMap(n, n, tuple(range(n)))
 
 
 def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:

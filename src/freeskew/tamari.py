@@ -16,7 +16,7 @@ kept whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -72,11 +72,12 @@ def validate_rbf(values: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lbf:
     """A left bracketing function; an element of the Tamari lattice."""
 
     values: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -98,11 +99,12 @@ class Lbf:
         return f"Lbf({','.join(str(v) for v in self.values)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rbf:
     """A right bracketing function, the mirror-image encoding."""
 
     values: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))

@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from freeskew.ordmaps import (
+    InputError,
     MonotoneMap,
     epi_mono_factorize,
     right_adjoint,
@@ -414,3 +415,37 @@ def direct_min_ok(images, svalues, tvalues):
         if close > r_t[h]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# value checks as loops
+#
+# MonotoneMap and FskObject run their range and order checks through
+# builtins.  These are the per-element loops those replaced; each raises
+# the InputError the constructor raises, or returns None.
+# ---------------------------------------------------------------------------
+
+
+def monotone_loop_check(dom, cod, images):
+    """MonotoneMap's checks: non-empty ordinals, dom images, each in
+    ord cod and none below the one before."""
+    if dom < 1 or cod < 1:
+        raise InputError("ordinals must be non-empty")
+    if len(images) != dom:
+        raise InputError(f"expected {dom} images, got {len(images)}")
+    prev = 0
+    for i, value in enumerate(images):
+        if not 0 <= value < cod:
+            raise InputError(f"image {value} outside ord {cod}")
+        if value < prev:
+            raise InputError(f"images not weakly increasing at index {i}")
+        prev = value
+
+
+def generator_positions_loop_check(m, u):
+    """FskObject's checks on the generator positions u: each in ord m,
+    and strictly increasing."""
+    if any(not 0 <= j < m for j in u):
+        raise InputError(f"generator positions {u} outside ord {m}")
+    if any(a >= b for a, b in zip(u, u[1:])):
+        raise InputError(f"generator positions {u} not strictly increasing")

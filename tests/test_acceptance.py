@@ -179,9 +179,9 @@ def test_05_criterion_equivalences():
                 table = []
                 for s in tams_m:
                     for t in tams_n:
-                        d = fsk._bracket_direct_ok(images, s.values, t.values)
-                        c = fsk._bracket_factor_ok(images, cod, s.values, t.values)
-                        r = fsk._bracket_search_ok(images, cod, s.values, t.values)
+                        d = fsk._bracket_direct_ok(phi, s, t)
+                        c = fsk._bracket_factor_ok(phi, s, t)
+                        r = fsk._bracket_search_ok(phi, s, t)
                         g = general_def_brackets_ok(phi, s, t)
                         assert d == c == r == g, (phi, s, t, d, c, r, g)
                         brackets += 1
@@ -194,7 +194,7 @@ def test_05_criterion_equivalences():
                 uv_table = []
                 for u, v in uv_pairs:
                     b = fsk._bij_ok(images, cod, u, v)
-                    cb = fsk._component_bij_ok(images, cod, u, v)
+                    cb = fsk._component_bij_ok(phi, u, v)
                     assert b == bij_ok_oracle(phi, u, v)
                     if b:
                         assert cb

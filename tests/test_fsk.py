@@ -4,6 +4,7 @@ import random
 import signal
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from freeskew.tamari import (
     base_change_inj,
     base_change_surj,
     enumerate_tamari,
+    tamari_bottom,
     tamari_leq,
 )
 from freeskew.fsk import (
@@ -63,7 +65,9 @@ from oracles import (
     brute_hom,
     direct_min_ok,
     filter_hom,
+    generator_positions_loop_check,
     graft_tensor,
+    monotone_loop_check,
     objects_up_to,
     scan_search_ok,
 )
@@ -71,6 +75,15 @@ from oracles import (
 
 def obj(m, u, values):
     return FskObject(m, tuple(u), Lbf(tuple(values)))
+
+
+def check_outcome(make, *args):
+    """The InputError message make(*args) raises, or None."""
+    try:
+        make(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
 
 
 II = obj(2, (), (0, 1))
@@ -91,6 +104,45 @@ class TestObjects:
             FskObject(3, (2, 1), Lbf((0, 0, 2)))
         with pytest.raises(InputError):
             FskObject(2, (), Lbf((0, 0, 2)))
+
+
+class TestLeanValues:
+    def test_map_checks_match_loop_oracle(self):
+        # every image tuple over -1..cod
+        verdicts = set()
+        for dom in range(1, 6):
+            for cod in range(1, 6):
+                for images in product(range(-1, cod + 1), repeat=dom):
+                    expected = check_outcome(monotone_loop_check, dom, cod, images)
+                    assert check_outcome(MonotoneMap, dom, cod, images) \
+                        == expected, (dom, cod, images)
+                    verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    def test_position_checks_match_loop_oracle(self):
+        # every position sequence over -1..m of length up to m + 1
+        verdicts = set()
+        for m in range(1, 6):
+            s = tamari_bottom(m)
+            for size in range(m + 2):
+                for u in product(range(-1, m + 1), repeat=size):
+                    expected = check_outcome(generator_positions_loop_check, m, u)
+                    assert check_outcome(FskObject, m, u, s) == expected, (m, u)
+                    verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("value", [
+        MonotoneMap.identity(2), Lbf((0, 1)), Rbf((0, 1)), X, identity(X)])
+    def test_values_are_slotted(self, value):
+        assert "__slots__" in vars(type(value))
+        assert not hasattr(value, "__dict__")
+
+    def test_structural_maps_are_shared(self):
+        for n in range(1, 5):
+            assert MonotoneMap.identity(n) is MonotoneMap.identity(n)
+        a = tensor(X, I)
+        assert lambda_.__wrapped__(a).map is lambda_.__wrapped__(a).map
+        assert rho.__wrapped__(a).map is rho.__wrapped__(a).map
 
 
 class TestWords:
@@ -157,9 +209,10 @@ class TestDirectScan:
         for m in range(1, 6):
             for n in range(1, 6):
                 for images in all_monotone_images(m, n):
+                    phi = MonotoneMap(m, n, images)
                     for s in enumerate_tamari(m):
                         for t in enumerate_tamari(n):
-                            assert (fsk._bracket_direct_ok(images, s.values, t.values)
+                            assert (fsk._bracket_direct_ok(phi, s, t)
                                     == direct_min_ok(images, s.values, t.values)), \
                                 (images, s, t)
 
@@ -175,9 +228,10 @@ class TestCachePolicy:
     BOUNDED = {"ordmaps._radj", "tamari.lbf_to_rbf", "tamari.rbf_to_lbf",
                "tamari.conjugate_surj", "tamari.conjugate_inj",
                "tamari.base_change_surj", "tamari.base_change_inj",
-               "fsk._bij_ok", "fsk._bracket_direct_ok"}
+               "fsk._bij_ok", "fsk._bracket_direct_ok", "ordmaps._identity_map",
+               "fsk._collapse_map", "fsk._inclusion_map"}
     UNBOUNDED = {"tamari.enumerate_tamari", "fsk.identity",
-                 "fsk._tensor_objects", "fsk.alpha", "fsk.lambda_", "fsk.rho"}
+                 "fsk._tensor_objects", "fsk.lambda_", "fsk.rho"}
 
     def test_point_queries_stay_bounded(self):
         # membership queries in all three modes plus the factorization of
@@ -241,7 +295,8 @@ class TestBracketSearch:
             # half the targets right-bracketed, so both verdicts are common
             t = (tuple(range(cod)) if rng.random() < 0.5
                  else rng.choice(enumerate_tamari(cod)).values)
-            found = fsk._bracket_search_ok(images, cod, s, t)
+            found = fsk._bracket_search_ok(MonotoneMap(m, cod, images),
+                                           Lbf(s), Lbf(t))
             assert found == scan_search_ok(images, cod, s, t), (images, s, t)
             verdicts.add(found)
         assert verdicts == {True, False}
@@ -622,7 +677,7 @@ class TestContracts:
     fault, not InputError, a usage error."""
 
     @pytest.mark.parametrize("name, make, match", [
-        ("tamari_leq", lambda: alpha.__wrapped__(X, X, X), "associator"),
+        ("tamari_leq", lambda: alpha(X, X, X), "associator"),
         ("is_shrink", lambda: lambda_.__wrapped__(X), "left unit"),
         ("is_swell", lambda: rho.__wrapped__(X), "right unit"),
         ("is_fsk_surjection", lambda: factor_general(identity(X)),
