@@ -176,6 +176,8 @@ def _object_tuples(total: int, count: int):
 
 
 def _cmd_axioms(args) -> int:
+    if args.max_leaves < 1:
+        raise InputError("axioms takes --max-leaves >= 1")
     if args.max_leaves > MAX_AXIOM_LEAVES:
         raise InputError(f"axioms takes --max-leaves <= {MAX_AXIOM_LEAVES}")
     checks = [

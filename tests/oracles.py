@@ -269,6 +269,14 @@ def bij_ok_oracle(phi, u, v):
             and all(phi(star(i)) == i for i in v))
 
 
+def component_bij_oracle(phi, u, v):
+    """The generator conditions for both halves of the epi-mono
+    factorization of phi, u -> sigma(u) -> v."""
+    sigma, delta = epi_mono_factorize(phi)
+    mid = tuple(sigma(j) for j in u)
+    return bij_ok_oracle(sigma, u, mid) and bij_ok_oracle(delta, mid, v)
+
+
 @lru_cache(maxsize=None)
 def shrink_brackets_ok(sigma, s, t):
     star = right_adjoint(sigma)

@@ -67,9 +67,11 @@ from oracles import (
     filter_hom,
     generator_positions_loop_check,
     graft_tensor,
+    inj_def_brackets_ok,
     monotone_loop_check,
     objects_up_to,
     scan_search_ok,
+    surj_def_brackets_ok,
 )
 
 
@@ -361,6 +363,24 @@ class TestClassify:
                     if flags.is_fsk_injection:
                         assert f.map.is_injective
 
+    def test_class_criteria_match_definitions(self):
+        # every bottom-preserving map between objects with m, n <= 4,
+        # morphisms or not
+        objs = objects_up_to(4)
+        seen = {"surj": set(), "inj": set()}
+        for a in objs:
+            for b in objs:
+                for phi in all_bottom_maps(a.m, b.m):
+                    surj = (phi.is_surjective and bij_ok_oracle(phi, a.u, b.u)
+                            and surj_def_brackets_ok(phi, a.s, b.s))
+                    inj = (phi.is_injective and bij_ok_oracle(phi, a.u, b.u)
+                           and inj_def_brackets_ok(phi, a.s, b.s))
+                    assert is_fsk_surjection(a, b, phi) == surj, (a, b, phi)
+                    assert is_fsk_injection(a, b, phi) == inj, (a, b, phi)
+                    seen["surj"].add(surj)
+                    seen["inj"].add(inj)
+        assert seen == {"surj": {False, True}, "inj": {False, True}}
+
 
 class TestComposeAndIdentity:
     def test_identity_unit_laws(self):
@@ -528,6 +548,16 @@ class TestHom:
             grade = rng.randint(0, min(m, n))
             a, b = word(m, grade), word(n, grade)
             assert hom(a, b) == filter_hom(a, b), (a, b)
+
+    def test_proves_each_listed_map_once(self):
+        # the candidates meet the generator conditions by construction,
+        # so only FskMorphism runs _bij_ok, once per listed map
+        a = parse_object("(((I I) (I X)) ((I I) I))")
+        b = parse_object("((I (I X)) (I (I I)))")
+        fsk._bij_ok.cache_clear()
+        assert len(hom(a, b)) == 60
+        info = fsk._bij_ok.cache_info()
+        assert (info.misses, info.hits) == (60, 0)
 
     def test_candidate_count_is_a_product_of_blocks(self):
         # position 0 goes to 0, then one unit in [0, 2], two in (2, 4]

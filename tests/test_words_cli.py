@@ -262,6 +262,15 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(cli.MAX_AXIOM_LEAVES) in err
 
+    @pytest.mark.parametrize("leaves", ["0", "-3"])
+    def test_axioms_needs_a_leaf(self, capsys, monkeypatch, leaves):
+        def refuse(total, count):
+            raise AssertionError("enumerated below one leaf")
+        monkeypatch.setattr(cli, "_object_tuples", refuse)
+        code, out, err = run(capsys, "axioms", "--max-leaves", leaves)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_hom_size_cap(self, capsys, monkeypatch):
         def refuse(a, b):
             raise AssertionError("enumerated past the cap")
