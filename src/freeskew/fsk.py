@@ -10,13 +10,21 @@ Membership has three conditions, each decided in one place: bottom
 preservation (the map), the generator bijection (_bij_ok) and the
 bracket condition, which has three independent criteria; "via_search"
 finds a middle bracketing by a pruned depth-first search, never by
-scanning the Tamari lattice.  Hom-sets pin every generator to its image
-and vary only the units between the pins, so they test the bracket
-condition alone.  The generator condition and the "direct" bracket check
-are single linear passes over the map, memoized under the bounded cache
-policy of ordmaps; the structure maps (identities, tensors of objects,
-lambda_, rho) keep unbounded caches, alpha is built on each call, and
-the underlying maps of the unit maps are shared by size.
+scanning the Tamari lattice.  The generator condition and the "direct"
+bracket check are single linear passes over the map, with no cache.
+
+Each morphism is proved once.  FskMorphism(...) runs the full proof, and
+so does everything that enters from outside.  The constructions below
+build through _proved, which skips it, only where membership is already
+decided: hom-sets pin every generator to its image and vary only the
+units between the pins, so they test the bracket condition alone;
+identities, the associator (a rebracketing), lambda_ and rho after
+is_shrink and is_swell, the parts of the factorizations after their
+class checks; and composites, tensors and duals of morphisms, which the
+paper's theorems make morphisms again (tests/test_fsk.py checks that
+closure exhaustively on small objects).  Tensors of objects, lambda_ and
+rho keep unbounded caches; identities and alpha are built on each call,
+and the underlying maps of the unit maps are shared by size.
 """
 
 from __future__ import annotations
@@ -126,6 +134,18 @@ class FskMorphism:
         return f"FskMorphism({self.src!r} -> {self.dst!r}; {imgs})"
 
 
+def _proved(src: FskObject, dst: FskObject, phi: MonotoneMap) -> FskMorphism:
+    # The morphism src -> dst over phi, whose membership the caller has
+    # already decided: the fields and hash of FskMorphism without
+    # is_morphism.  Only this module calls it (CI checks that).
+    f = object.__new__(FskMorphism)
+    object.__setattr__(f, "src", src)
+    object.__setattr__(f, "dst", dst)
+    object.__setattr__(f, "map", phi)
+    object.__setattr__(f, "_hash", hash((src, dst, phi)))
+    return f
+
+
 @dataclass(frozen=True)
 class MorphismClass:
     """Membership flags for the distinguished classes of morphisms."""
@@ -142,18 +162,15 @@ class MorphismClass:
 #
 # All three decision routes share the bottom-preservation and
 # generator-bijection conditions; they differ in how the bracketings are
-# compared.  The bijection check works on raw tuples so its results
-# memoize across the many objects sharing the same underlying data; the
-# bracket checks take the validated map and lbfs, whose cached hashes
-# key the memo.
+# compared.  No check is memoized: each is one linear pass over the
+# validated map, and no morphism built inside the package is proved twice.
 # ---------------------------------------------------------------------------
 
 
-@bounded_cache
-def _bij_ok(images: tuple[int, ...], cod: int,
-            u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+def _bij_ok(phi: MonotoneMap, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     # the map and its right adjoint must restrict to inverse bijections u <-> v
-    star = ordmaps._radj(images, cod)
+    images = phi.images
+    star = ordmaps._radj(images, phi.cod)
     u_set, v_set = set(u), set(v)
     return (all(images[j] in v_set for j in u)
             and all(star[i] in u_set for i in v)
@@ -161,7 +178,6 @@ def _bij_ok(images: tuple[int, ...], cod: int,
             and all(images[star[i]] == i for i in v))
 
 
-@bounded_cache
 def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # At each occupied level h of the image, the surviving source blocks
     # whose bracket opens strictly below h first close at the lowest
@@ -279,7 +295,7 @@ def is_morphism(src: FskObject, dst: FskObject, phi: MonotoneMap,
         raise InputError(f"unknown mode {mode!r}")
     if not phi.preserves_bottom:
         return False
-    if not _bij_ok(phi.images, phi.cod, src.u, dst.u):
+    if not _bij_ok(phi, src.u, dst.u):
         return False
     if mode == "direct":
         return _bracket_direct_ok(phi, src.s, dst.s)
@@ -290,6 +306,7 @@ def is_morphism(src: FskObject, dst: FskObject, phi: MonotoneMap,
 
 def is_tamari(src: FskObject, dst: FskObject, phi: MonotoneMap) -> bool:
     """Identity map witnessing that the source bracketing rebrackets up."""
+    _check_fits(src, dst, phi)
     return (phi.is_identity and src.m == dst.m and src.u == dst.u
             and tamari_leq(src.s, dst.s))
 
@@ -301,7 +318,7 @@ def is_shrink(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> bool:
     _check_fits(src, dst, sigma)
     if not sigma.is_surjective:
         return False
-    if not _bij_ok(sigma.images, sigma.cod, src.u, dst.u):
+    if not _bij_ok(sigma, src.u, dst.u):
         return False
     if conjugate_surj(sigma, src.s) != dst.s:
         return False
@@ -323,7 +340,7 @@ def is_fsk_surjection(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> boo
     """A rebracketing followed by a shrink morphism (explicit criterion)."""
     _check_fits(src, dst, sigma)
     return (sigma.is_surjective
-            and _bij_ok(sigma.images, sigma.cod, src.u, dst.u)
+            and _bij_ok(sigma, src.u, dst.u)
             and tamari_leq(conjugate_surj(sigma, src.s), dst.s))
 
 
@@ -334,7 +351,7 @@ def is_fsk_injection(src: FskObject, dst: FskObject, delta: MonotoneMap) -> bool
     _check_fits(src, dst, delta)
     if not (delta.is_injective and delta.preserves_bottom):
         return False
-    return (_bij_ok(delta.images, delta.cod, src.u, dst.u)
+    return (_bij_ok(delta, src.u, dst.u)
             and tamari_leq(src.s, conjugate_inj(delta, dst.s)))
 
 
@@ -354,20 +371,22 @@ def classify(f: FskMorphism) -> MorphismClass:
 # ---------------------------------------------------------------------------
 
 
-# identity, _tensor_objects, lambda_ and rho keep unbounded caches: the
-# axiom sweep asks for the same ones in every phase, so a bound would
-# only make it build them again.  alpha keeps none: its key is three
-# objects, whose lookup costs about as much as building the morphism.
-@lru_cache(maxsize=None)
+# _tensor_objects, lambda_ and rho keep unbounded caches: the axiom sweep
+# asks for the same ones in every phase, so a bound would only make it
+# build them again.  identity and alpha keep none: identity reuses the
+# shared map of its size, and a lookup keyed by alpha's three objects
+# costs about as much as building the morphism.
 def identity(obj: FskObject) -> FskMorphism:
-    return FskMorphism(obj, obj, MonotoneMap.identity(obj.m))
+    """The identity on obj, a morphism by definition (not re-proved)."""
+    return _proved(obj, obj, MonotoneMap.identity(obj.m))
 
 
 def compose(g: FskMorphism, f: FskMorphism) -> FskMorphism:
-    """The composite g after f (validity of the result is re-checked)."""
+    """The composite g after f; Fsk is closed under composition, so the
+    result is not proved again."""
     if f.dst != g.src:
         raise InputError(f"cannot compose: {f.dst!r} != {g.src!r}")
-    return FskMorphism(f.src, g.dst, ordmaps.compose(g.map, f.map))
+    return _proved(f.src, g.dst, ordmaps.compose(g.map, f.map))
 
 
 @lru_cache(maxsize=None)
@@ -381,13 +400,13 @@ def _tensor_objects(a: FskObject, b: FskObject) -> FskObject:
 def tensor(x, y):
     """Tensor of two objects, (m, u, S) (x) (n, v, T) =
     (m+n, u + (v+m), S[:-1] + (0,) + (T+m)), or of two morphisms (the
-    block sum of the maps)."""
+    block sum of the maps, a morphism again without a new proof)."""
     if isinstance(x, FskObject) and isinstance(y, FskObject):
         return _tensor_objects(x, y)
     if isinstance(x, FskMorphism) and isinstance(y, FskMorphism):
-        return FskMorphism(_tensor_objects(x.src, y.src),
-                           _tensor_objects(x.dst, y.dst),
-                           ordinal_sum(x.map, y.map))
+        return _proved(_tensor_objects(x.src, y.src),
+                       _tensor_objects(x.dst, y.dst),
+                       ordinal_sum(x.map, y.map))
     raise InputError("tensor needs two objects or two morphisms")
 
 
@@ -398,7 +417,7 @@ def alpha(a: FskObject, b: FskObject, c: FskObject) -> FskMorphism:
     if not tamari_leq(src.s, dst.s):
         raise RuntimeError(f"associator source {src!r} does not rebracket "
                            f"up to {dst!r}")
-    return FskMorphism(src, dst, MonotoneMap.identity(src.m))
+    return _proved(src, dst, MonotoneMap.identity(src.m))
 
 
 @bounded_cache
@@ -420,7 +439,7 @@ def lambda_(a: FskObject) -> FskMorphism:
     sigma = _collapse_map(a.m)
     if not is_shrink(src, a, sigma):
         raise RuntimeError(f"left unit map at {a!r} is not a shrink")
-    return FskMorphism(src, a, sigma)
+    return _proved(src, a, sigma)
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +449,7 @@ def rho(a: FskObject) -> FskMorphism:
     delta = _inclusion_map(a.m)
     if not is_swell(a, dst, delta):
         raise RuntimeError(f"right unit map at {a!r} is not a swell")
-    return FskMorphism(a, dst, delta)
+    return _proved(a, dst, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +472,7 @@ def factor_surjection(f: FskMorphism) -> tuple[FskObject, FskObject]:
     alt_middle = FskObject(f.dst.m, f.dst.u, conjugate_surj(f.map, f.src.s))
     if not is_shrink(max_middle, f.dst, f.map):
         raise RuntimeError(f"top middle of {f!r} is not a shrink source")
-    if compose(FskMorphism(max_middle, f.dst, f.map),
+    if compose(_proved(max_middle, f.dst, f.map),
                FskMorphism(f.src, max_middle, MonotoneMap.identity(f.src.m))
                ) != f:
         raise RuntimeError(f"top middle of {f!r} does not recompose to it")
@@ -474,7 +493,7 @@ def factor_injection(f: FskMorphism) -> tuple[FskObject, FskObject]:
     if not is_swell(f.src, min_middle, f.map):
         raise RuntimeError(f"bottom middle of {f!r} is not a swell target")
     if compose(FskMorphism(min_middle, f.dst, MonotoneMap.identity(f.dst.m)),
-               FskMorphism(f.src, min_middle, f.map)) != f:
+               _proved(f.src, min_middle, f.map)) != f:
         raise RuntimeError(f"bottom middle of {f!r} does not recompose to it")
     if compose(FskMorphism(alt_middle, f.dst, f.map),
                FskMorphism(f.src, alt_middle, MonotoneMap.identity(f.src.m))
@@ -490,12 +509,12 @@ def factor_general(f: FskMorphism) -> tuple[FskMorphism, FskObject, FskMorphism]
     middle = FskObject(sigma.cod,
                        tuple(sigma(j) for j in f.src.u),
                        conjugate_inj(delta, f.dst.s))
-    surj = FskMorphism(f.src, middle, sigma)
-    inj = FskMorphism(middle, f.dst, delta)
-    if not is_fsk_surjection(surj.src, surj.dst, surj.map):
+    if not is_fsk_surjection(f.src, middle, sigma):
         raise RuntimeError(f"surjective part of {f!r} is not an Fsk-surjection")
-    if not is_fsk_injection(inj.src, inj.dst, inj.map):
+    if not is_fsk_injection(middle, f.dst, delta):
         raise RuntimeError(f"injective part of {f!r} is not an Fsk-injection")
+    surj = _proved(f.src, middle, sigma)
+    inj = _proved(middle, f.dst, delta)
     if compose(inj, surj) != f:
         raise RuntimeError(f"the parts of {f!r} do not recompose to it")
     return surj, middle, inj
@@ -545,7 +564,8 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     only the units between the pins are enumerated, block by block.
     Every candidate already preserves the bottom and meets the generator
     conditions, so it is kept if it meets the "direct" bracket
-    condition, and FskMorphism proves each kept map.  The work is
+    condition; that one check is its whole proof, so the listed
+    morphisms are not proved again.  The work is
     hom_candidate_count(a, b) candidate maps.
     """
     blocks = _hom_blocks(a, b)
@@ -556,7 +576,7 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
                            for k, lo, hi in blocks)):
         phi = MonotoneMap(a.m, b.m, (0,) + tuple(chain.from_iterable(parts)))
         if _bracket_direct_ok(phi, a.s, b.s):
-            out.append(FskMorphism(a, b, phi))
+            out.append(_proved(a, b, phi))
     return out
 
 
@@ -587,15 +607,16 @@ def dual(x):
     On objects this reflects the generator positions and mirrors the
     bracketing; on morphisms it reflects the right adjoint of the
     underlying map, reversing the direction of the arrow.  Involutive,
-    and it interchanges surjective with injective classes.
+    and it interchanges surjective with injective classes; the dual of
+    a morphism is a morphism, so it is not proved again.
     """
     if isinstance(x, FskObject):
         return FskObject(x.m,
                          tuple(sorted(x.m - 1 - j for j in x.u)),
                          tamari_opposite(x.s))
     if isinstance(x, FskMorphism):
-        return FskMorphism(dual(x.dst), dual(x.src),
-                           _reflect_map(right_adjoint(x.map)))
+        return _proved(dual(x.dst), dual(x.src),
+                       _reflect_map(right_adjoint(x.map)))
     raise InputError("dual needs an object or a morphism")
 
 

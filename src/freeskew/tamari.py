@@ -8,10 +8,10 @@ word right to left; they are Huang and Tamari's bracketing vectors
 (J. Combin. Theory A 13, 1972).  Nothing here builds a bracket tree.
 
 Validating either kind and converting between them take one pass with
-a stack each, O(m).  The conversions, conjugations and changes of base
-are memoized under the package's bounded cache policy
-(ordmaps.bounded_cache); the lattices listed by enumerate_tamari are
-kept whole.
+a stack each, O(m).  The conversions and conjugations are memoized
+under the package's bounded cache policy (ordmaps.bounded_cache); the
+changes of base, which only the factorizations call, are not; the
+lattices listed by enumerate_tamari are kept whole.
 """
 
 from __future__ import annotations
@@ -238,7 +238,6 @@ def tamari_top(m: int) -> Lbf:
     return Lbf(tuple(range(m)))
 
 
-@bounded_cache
 def base_change_surj(sigma: MonotoneMap, lbf: Lbf) -> Lbf:
     """Pull an lbf back along a surjection sigma.
 
@@ -262,7 +261,6 @@ def base_change_surj(sigma: MonotoneMap, lbf: Lbf) -> Lbf:
     return result
 
 
-@bounded_cache
 def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
     """Push an rbf forward along a bottom-preserving injection delta.
 

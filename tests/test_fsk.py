@@ -45,6 +45,7 @@ from freeskew.fsk import (
     is_morphism,
     is_shrink,
     is_swell,
+    is_tamari,
     lambda_,
     rho,
     tensor,
@@ -229,11 +230,10 @@ def random_word(rng, letters):
 class TestCachePolicy:
     BOUNDED = {"ordmaps._radj", "tamari.lbf_to_rbf", "tamari.rbf_to_lbf",
                "tamari.conjugate_surj", "tamari.conjugate_inj",
-               "tamari.base_change_surj", "tamari.base_change_inj",
-               "fsk._bij_ok", "fsk._bracket_direct_ok", "ordmaps._identity_map",
-               "fsk._collapse_map", "fsk._inclusion_map"}
-    UNBOUNDED = {"tamari.enumerate_tamari", "fsk.identity",
-                 "fsk._tensor_objects", "fsk.lambda_", "fsk.rho"}
+               "ordmaps._identity_map", "fsk._collapse_map",
+               "fsk._inclusion_map"}
+    UNBOUNDED = {"tamari.enumerate_tamari", "fsk._tensor_objects",
+                 "fsk.lambda_", "fsk.rho"}
 
     def test_point_queries_stay_bounded(self):
         # membership queries in all three modes plus the factorization of
@@ -267,7 +267,7 @@ class TestCachePolicy:
         for name in self.UNBOUNDED:
             assert stats[name]["maxsize"] is None
         # the queries outran the bound
-        assert stats["fsk._bracket_direct_ok"]["misses"] > CACHE_SIZE
+        assert stats["ordmaps._radj"]["misses"] > CACHE_SIZE
 
 
 def left_comb(n):
@@ -334,6 +334,14 @@ class TestClassify:
         flags = classify(f)
         assert flags.is_tamari and flags.is_fsk_surjection and flags.is_fsk_injection
         assert not flags.is_shrink and not flags.is_swell
+
+    def test_class_predicates_check_fit(self):
+        # a map that does not fit is an input error for every class
+        w = parse_object("(X (X X))")
+        for predicate in (is_tamari, is_shrink, is_swell,
+                          is_fsk_surjection, is_fsk_injection):
+            with pytest.raises(InputError, match="does not fit"):
+                predicate(w, w, MonotoneMap.identity(2))
 
     def test_left_unit_is_shrink(self):
         flags = classify(lambda_(X))
@@ -414,7 +422,7 @@ class TestComposeAndIdentity:
             assert compose(f, identity(f.src)) == f
             assert compose(identity(f.dst), f) == f
             for g in by_src.get(f.dst, ()):
-                gf = compose(g, f)  # validated on construction
+                gf = compose(g, f)
                 for h in by_src.get(g.dst, ()):
                     assert compose(h, gf) == compose(compose(h, g), f)
 
@@ -549,15 +557,26 @@ class TestHom:
             a, b = word(m, grade), word(n, grade)
             assert hom(a, b) == filter_hom(a, b), (a, b)
 
-    def test_proves_each_listed_map_once(self):
+    def test_proves_each_listed_map_once(self, monkeypatch):
         # the candidates meet the generator conditions by construction,
-        # so only FskMorphism runs _bij_ok, once per listed map
+        # so the bracket check, once per candidate, is the whole proof
+        calls = {"_bracket_direct_ok": 0, "is_morphism": 0}
+
+        def counted(name):
+            check = getattr(fsk, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return check(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fsk, name, counted(name))
         a = parse_object("(((I I) (I X)) ((I I) I))")
         b = parse_object("((I (I X)) (I (I I)))")
-        fsk._bij_ok.cache_clear()
         assert len(hom(a, b)) == 60
-        info = fsk._bij_ok.cache_info()
-        assert (info.misses, info.hits) == (60, 0)
+        assert calls == {"_bracket_direct_ok": hom_candidate_count(a, b),
+                         "is_morphism": 0}
 
     def test_candidate_count_is_a_product_of_blocks(self):
         # position 0 goes to 0, then one unit in [0, 2], two in (2, 4]
@@ -701,6 +720,27 @@ class TestDual:
                     assert flags.is_tamari == dual_flags.is_tamari
 
 
+class TestClosure:
+    """compose, tensor and dual of morphisms build their results without
+    proving them again, since the paper's theorems make them morphisms;
+    here every result on small objects is proved in full."""
+
+    def test_results_are_morphisms(self):
+        objs = objects_up_to(3)
+        morphs = [f for a in objs for b in objs for f in hom(a, b)]
+        by_src = {}
+        for f in morphs:
+            by_src.setdefault(f.src, []).append(f)
+        results = [dual(f) for f in morphs]
+        results += [compose(g, f) for f in morphs for g in by_src.get(f.dst, ())]
+        results += [tensor(f, g) for f in morphs for g in morphs]
+        assert len(results) == 156 + 1320 + 156 ** 2
+        for f in results:
+            assert f == FskMorphism(f.src, f.dst, f.map)
+            for mode in MODES:
+                assert is_morphism(f.src, f.dst, f.map, mode), (f, mode)
+
+
 class TestContracts:
     """The postconditions of the structure maps, the factorizations and
     the base changes are checks that raise RuntimeError, a library
@@ -732,9 +772,9 @@ class TestContracts:
         monkeypatch.setattr(tamari, "Lbf", top_lbf)
         monkeypatch.setattr(tamari, "Rbf", top_rbf)
         with pytest.raises(RuntimeError, match="does not lift"):
-            base_change_surj.__wrapped__(MonotoneMap.identity(3), Lbf((0, 0, 2)))
+            base_change_surj(MonotoneMap.identity(3), Lbf((0, 0, 2)))
         with pytest.raises(RuntimeError, match="does not push"):
-            base_change_inj.__wrapped__(MonotoneMap.identity(3), Rbf((0, 1, 2)))
+            base_change_inj(MonotoneMap.identity(3), Rbf((0, 1, 2)))
 
     def test_checks_survive_optimized_mode(self):
         script = "\n".join([

@@ -101,6 +101,18 @@ class TestTextAndJsonForms:
         with pytest.raises(InputError):
             parse_morphism("X ; 0")
 
+    @pytest.mark.parametrize("src, dst, images", [
+        ("X", "I", [0]),                        # generator condition
+        ("(X (X X))", "((X X) X)", [0, 1, 2]),  # bracket condition
+    ])
+    def test_well_formed_non_morphisms_rejected(self, src, dst, images):
+        with pytest.raises(InputError, match="is not a morphism"):
+            parse_morphism(f"{src} -> {dst} ; {','.join(map(str, images))}")
+        data = {"src": object_to_json(parse_object(src)),
+                "dst": object_to_json(parse_object(dst)), "map": images}
+        with pytest.raises(InputError, match="is not a morphism"):
+            morphism_from_json(data)
+
     def test_json_round_trips(self):
         for a in objects_up_to(4):
             assert object_from_json(object_to_json(a)) == a
@@ -221,6 +233,33 @@ class TestCli:
     def test_morphism_construction_error_exit_one(self, capsys):
         code, _, err = run(capsys, "compose", "(X I)", "X", "X", "0,0", "0")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        # the second map is the inverse of the associator
+        ("compose", "((X X) X)", "(X (X X))", "((X X) X)", "0,1,2", "0,1,2"),
+        ("factor", "(X (X X))", "((X X) X)", "0,1,2"),
+        ("factor", "X", "I", "0"),
+    ])
+    def test_non_morphism_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not a morphism" in err
+
+    def test_axioms_prove_nothing_again(self, capsys, monkeypatch):
+        # every morphism the sweep builds is a structure map or a
+        # composite or tensor of them, so none is proved by is_morphism
+        calls = []
+        check = fsk.is_morphism
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(fsk, "is_morphism", counted)
+        code, out, _ = run(capsys, "axioms", "--max-leaves", "5")
+        assert code == 0 and out.count("ok") == 5
+        assert calls == []
 
     @pytest.mark.parametrize("text", [LEFT_COMB, RIGHT_COMB], ids=["left", "right"])
     def test_deep_words(self, capsys, text):
