@@ -123,9 +123,15 @@ def _identity_map(n: int) -> MonotoneMap:
 
 
 def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    """The composite g after f."""
+    """The composite g after f.  A shared identity on either side (the
+    map MonotoneMap.identity returns) passes the other map through."""
     if f.cod != g.dom:
         raise InputError(f"cannot compose: cod {f.cod} != dom {g.dom}")
+    # an identity test, not a cache: the maps of the criteria rarely repeat
+    if f is _identity_map(f.dom):
+        return g
+    if g is _identity_map(g.dom):
+        return f
     return MonotoneMap(f.dom, g.cod, tuple(g.images[v] for v in f.images))
 
 
@@ -176,6 +182,7 @@ def epi_mono_factorize(phi: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
     return surj, inj
 
 
+@bounded_cache
 def ordinal_sum(phi: MonotoneMap, psi: MonotoneMap) -> MonotoneMap:
     """Block sum: phi on the first block, psi shifted by phi.cod on the second."""
     images = phi.images + tuple(v + phi.cod for v in psi.images)

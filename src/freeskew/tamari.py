@@ -8,16 +8,18 @@ word right to left; they are Huang and Tamari's bracketing vectors
 (J. Combin. Theory A 13, 1972).  Nothing here builds a bracket tree.
 
 Validating either kind and converting between them take one pass with
-a stack each, O(m).  The conversions and conjugations are memoized
-under the package's bounded cache policy (ordmaps.bounded_cache); the
-changes of base, which only the factorizations call, are not; the
-lattices listed by enumerate_tamari are kept whole.
+a stack each, O(m).  The conversions, conjugations and opposites are
+memoized under the package's bounded cache policy
+(ordmaps.bounded_cache), so dual and is_swell share one mirrored lbf
+per bracketing; the changes of base, which only the factorizations
+call, are not; the lattices listed by enumerate_tamari are kept whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import le
 from typing import Iterator, Sequence
 
 from .ordmaps import InputError, MonotoneMap, bounded_cache, right_adjoint
@@ -167,6 +169,7 @@ def rbf_to_lbf(rbf: Rbf) -> Lbf:
     return Lbf(tuple(l))
 
 
+@bounded_cache
 def tamari_opposite(lbf: Lbf) -> Lbf:
     """The same bracketing read on the reversed ordinal (an involution)."""
     r, m = lbf_to_rbf(lbf).values, lbf.m
@@ -177,7 +180,7 @@ def tamari_leq(s: Lbf, t: Lbf) -> bool:
     """The Tamari order: pointwise comparison of lbfs."""
     if s.m != t.m:
         raise InputError(f"cannot compare lbfs on ord {s.m} and ord {t.m}")
-    return all(a <= b for a, b in zip(s.values, t.values))
+    return all(map(le, s.values, t.values))
 
 
 def tamari_join(s: Lbf, t: Lbf) -> Lbf:

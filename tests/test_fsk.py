@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from freeskew import fsk, tamari
+from freeskew import fsk, ordmaps, tamari
 from freeskew.ordmaps import CACHE_SIZE, InputError, MonotoneMap, cache_stats
 from freeskew.tamari import (
     Lbf,
@@ -71,6 +71,7 @@ from oracles import (
     inj_def_brackets_ok,
     monotone_loop_check,
     objects_up_to,
+    opposite_oracle,
     scan_search_ok,
     surj_def_brackets_ok,
 )
@@ -146,6 +147,62 @@ class TestLeanValues:
         a = tensor(X, I)
         assert lambda_.__wrapped__(a).map is lambda_.__wrapped__(a).map
         assert rho.__wrapped__(a).map is rho.__wrapped__(a).map
+
+
+class TestSharedValues:
+    """Values that depend only on shape are built and checked once and
+    shared; each shared value is checked against its oracle here."""
+
+    def test_tensor_bracketing_shared_by_shape(self):
+        # start from empty caches, so no tensor built by an earlier test
+        # holds a bracketing the bounded cache has since dropped
+        fsk._tensor_objects.cache_clear()
+        fsk._tensor_lbf.cache_clear()
+        small = objects_up_to(4)
+        by_shape = {}
+        for a in small:
+            for b in small:
+                ab = tensor(a, b)
+                assert ab == graft_tensor(a, b)
+                assert by_shape.setdefault((a.s, b.s), ab.s) is ab.s
+        assert len(by_shape) == 9 ** 2
+
+    def test_dual_matches_mirror_tree_oracle(self):
+        tamari.tamari_opposite.cache_clear()
+        by_bracketing = {}
+        for x in objects_up_to(5):
+            d = dual(x)
+            assert d.s == opposite_oracle(x.s)
+            assert dual(d) == x
+            assert by_bracketing.setdefault(x.s, d.s) is d.s
+
+    def test_compose_passes_maps_through_shared_identities(self):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for images in all_monotone_images(m, n):
+                    f = MonotoneMap(m, n, images)
+                    assert ordmaps.compose(f, MonotoneMap.identity(m)) is f
+                    assert ordmaps.compose(MonotoneMap.identity(n), f) is f
+                    # a fresh identity is not shared: the composite is built
+                    fresh = MonotoneMap(m, m, tuple(range(m)))
+                    assert ordmaps.compose(f, fresh) == f
+                    # the size check comes first
+                    with pytest.raises(InputError):
+                        ordmaps.compose(f, MonotoneMap.identity(m + 1))
+                    with pytest.raises(InputError):
+                        ordmaps.compose(MonotoneMap.identity(n + 1), f)
+
+    def test_ordinal_sum_matches_fresh_map(self):
+        maps = [MonotoneMap(m, n, images)
+                for m in range(1, 4) for n in range(1, 4)
+                for images in all_monotone_images(m, n)]
+        for phi in maps:
+            for psi in maps:
+                total = ordmaps.ordinal_sum(phi, psi)
+                assert total == MonotoneMap(
+                    phi.dom + psi.dom, phi.cod + psi.cod,
+                    phi.images + tuple(v + phi.cod for v in psi.images))
+                assert ordmaps.ordinal_sum(phi, psi) is total
 
 
 class TestWords:
@@ -231,7 +288,8 @@ class TestCachePolicy:
     BOUNDED = {"ordmaps._radj", "tamari.lbf_to_rbf", "tamari.rbf_to_lbf",
                "tamari.conjugate_surj", "tamari.conjugate_inj",
                "ordmaps._identity_map", "fsk._collapse_map",
-               "fsk._inclusion_map"}
+               "fsk._inclusion_map", "fsk._tensor_lbf",
+               "tamari.tamari_opposite", "ordmaps.ordinal_sum"}
     UNBOUNDED = {"tamari.enumerate_tamari", "fsk._tensor_objects",
                  "fsk.lambda_", "fsk.rho"}
 

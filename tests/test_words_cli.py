@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -260,6 +261,32 @@ class TestCli:
         code, out, _ = run(capsys, "axioms", "--max-leaves", "5")
         assert code == 0 and out.count("ok") == 5
         assert calls == []
+
+    def test_axioms_check_each_bracketing_once(self, capsys, monkeypatch):
+        # the bracketings of tensors, opposites and conjugates are shared
+        # by shape, so each place that builds an Lbf checks a given
+        # bracketing once per sweep, however many objects carry it
+        expected = sorted(s.values for m in range(2, 7)
+                          for s in tamari.enumerate_tamari(m))
+        for cached in (fsk._tensor_objects, fsk._tensor_lbf, fsk.lambda_,
+                       fsk.rho, tamari.tamari_opposite, tamari.conjugate_surj,
+                       tamari.enumerate_tamari):
+            cached.cache_clear()
+        calls = []
+        check = tamari.validate_lbf
+
+        def counted(values):
+            # the frames above are Lbf.__post_init__ and Lbf.__init__
+            calls.append((sys._getframe(3).f_code.co_name, tuple(values)))
+            return check(values)
+
+        monkeypatch.setattr(tamari, "validate_lbf", counted)
+        code, out, _ = run(capsys, "axioms", "--max-leaves", "5")
+        assert code == 0 and out.count("ok") == 5
+        assert len(calls) == len(set(calls))
+        # every bracketing on 2 to 6 letters is a tensor's, built once there
+        tensors = [values for site, values in calls if site == "_tensor_lbf"]
+        assert sorted(tensors) == expected
 
     @pytest.mark.parametrize("text", [LEFT_COMB, RIGHT_COMB], ids=["left", "right"])
     def test_deep_words(self, capsys, text):
