@@ -23,18 +23,18 @@ is_shrink and is_swell, the parts of the factorizations after their
 class checks; and composites, tensors and duals of morphisms, which the
 paper's theorems make morphisms again (tests/test_fsk.py checks that
 closure exhaustively on small objects).  Tensors of objects, lambda_ and
-rho keep unbounded caches; identities and alpha are built on each call.
-Values that depend only on shape are shared, one checked instance each:
-the bracketing of a tensor is keyed by the two bracketings, the mirrored
-bracketing of dual by the bracketing, block sums by their two maps, and
-the identity, collapse and inclusion maps by size; a composite with a
-shared identity is the other map itself.
+rho sit under the bounded cache policy, and a miss runs every check
+again; identities and alpha are built on each call.  Values that depend
+only on shape are shared, one checked instance each: the bracketing of
+a tensor is keyed by the two bracketings, the mirrored bracketing of
+dual by the bracketing, block sums and the maps of duals by their maps,
+and the identity, collapse and inclusion maps by size; a composite with
+a shared identity is the other map itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, prod
 from operator import lt
@@ -122,16 +122,11 @@ class FskMorphism:
     src: FskObject
     dst: FskObject
     map: MonotoneMap
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_morphism(self.src, self.dst, self.map):
             raise InputError(
                 f"{self.map!r} is not a morphism {self.src!r} -> {self.dst!r}")
-        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.map)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         imgs = ",".join(str(v) for v in self.map.images)
@@ -140,13 +135,12 @@ class FskMorphism:
 
 def _proved(src: FskObject, dst: FskObject, phi: MonotoneMap) -> FskMorphism:
     # The morphism src -> dst over phi, whose membership the caller has
-    # already decided: the fields and hash of FskMorphism without
-    # is_morphism.  Only this module calls it (CI checks that).
+    # already decided: the fields of FskMorphism without is_morphism.
+    # Only this module calls it (CI checks that).
     f = object.__new__(FskMorphism)
     object.__setattr__(f, "src", src)
     object.__setattr__(f, "dst", dst)
     object.__setattr__(f, "map", phi)
-    object.__setattr__(f, "_hash", hash((src, dst, phi)))
     return f
 
 
@@ -172,14 +166,15 @@ class MorphismClass:
 
 
 def _bij_ok(phi: MonotoneMap, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    # the map and its right adjoint must restrict to inverse bijections u <-> v
+    # The map and its right adjoint must restrict to inverse bijections
+    # u <-> v.  Both are strictly increasing and the map is monotone, so
+    # that holds exactly when they have one length and the map sends
+    # each u_i to v_i as the last point of its fibre.
     images = phi.images
-    star = ordmaps._radj(images, phi.cod)
-    u_set, v_set = set(u), set(v)
-    return (all(images[j] in v_set for j in u)
-            and all(star[i] in u_set for i in v)
-            and all(star[images[j]] == j for j in u)
-            and all(images[star[i]] == i for i in v))
+    last = len(images) - 1
+    return len(u) == len(v) and all(
+        images[j] == i and (j == last or images[j + 1] > i)
+        for j, i in zip(u, v))
 
 
 def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
@@ -326,9 +321,10 @@ def is_shrink(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> bool:
         return False
     if conjugate_surj(sigma, src.s) != dst.s:
         return False
-    star = right_adjoint(sigma)
-    return all(sigma(src.s(j)) == sigma(j)
-               for j in range(src.m) if j < star(sigma(j)))
+    # j < sigma*(sigma(j)) says exactly that j is not last in its fibre
+    images, svalues = sigma.images, src.s.values
+    return all(images[svalues[j]] == images[j]
+               for j in range(src.m - 1) if images[j] == images[j + 1])
 
 
 def is_swell(src: FskObject, dst: FskObject, delta: MonotoneMap) -> bool:
@@ -337,7 +333,7 @@ def is_swell(src: FskObject, dst: FskObject, delta: MonotoneMap) -> bool:
     _check_fits(src, dst, delta)
     if not delta.preserves_bottom:
         return False
-    return is_shrink(dual(dst), dual(src), _reflect_map(right_adjoint(delta)))
+    return is_shrink(dual(dst), dual(src), _dual_map(delta))
 
 
 def is_fsk_surjection(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> bool:
@@ -375,16 +371,19 @@ def classify(f: FskMorphism) -> MorphismClass:
 # ---------------------------------------------------------------------------
 
 
-# _tensor_objects, lambda_ and rho keep unbounded caches: the axiom sweep
-# asks for the same ones in every phase, so a bound would only make it
-# build them again.  identity and alpha keep none: identity reuses the
-# shared map of its size, and a lookup keyed by alpha's three objects
-# costs about as much as building the morphism.  The values that depend
-# on shape alone (_tensor_lbf, tamari_opposite, ordmaps.ordinal_sum and
-# the maps shared by size) sit under the bounded policy: the sweep over
-# 7 leaves meets about 600 bracketings and 101 block sums but asks for
-# them about 230,000 times, so each is built and checked once, and
-# every tensor with the same shape of factors holds the same bracketing.
+# _tensor_objects, lambda_ and rho sit under the bounded policy: the
+# axiom sweep walks its tuples with the last slot innermost, so the
+# entries the next tuples share are the recent ones, and a miss is cheap
+# because every check it repeats is linear and runs on shared maps (the
+# collapse and inclusion maps and their duals are built once per size).
+# identity and alpha keep no cache: identity reuses the shared map of
+# its size, and a lookup keyed by alpha's three objects costs about as
+# much as building the morphism.  The values that depend on shape alone
+# (_tensor_lbf, tamari_opposite, ordmaps.ordinal_sum, _dual_map and the
+# maps shared by size) are few: the sweep over 7 leaves meets about 600
+# bracketings and 101 block sums but asks for them about 230,000 times,
+# so each is built and checked once, and every tensor with the same
+# shape of factors holds the same bracketing.
 def identity(obj: FskObject) -> FskMorphism:
     """The identity on obj, a morphism by definition (not re-proved)."""
     return _proved(obj, obj, MonotoneMap.identity(obj.m))
@@ -404,7 +403,7 @@ def _tensor_lbf(s: Lbf, t: Lbf) -> Lbf:
     return Lbf(s.values[:-1] + (0,) + tuple(v + s.m for v in t.values))
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def _tensor_objects(a: FskObject, b: FskObject) -> FskObject:
     return FskObject(a.m + b.m,
                      a.u + tuple(j + a.m for j in b.u),
@@ -446,7 +445,7 @@ def _inclusion_map(m: int) -> MonotoneMap:
     return MonotoneMap(m, m + 1, tuple(range(m)))
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def lambda_(a: FskObject) -> FskMorphism:
     """The left unit map Ia -> a: collapse the leading unit."""
     src = _tensor_objects(UNIT, a)
@@ -456,7 +455,7 @@ def lambda_(a: FskObject) -> FskMorphism:
     return _proved(src, a, sigma)
 
 
-@lru_cache(maxsize=None)
+@bounded_cache
 def rho(a: FskObject) -> FskMorphism:
     """The right unit map a -> aI: adjoin a trailing unit."""
     dst = _tensor_objects(a, UNIT)
@@ -615,6 +614,12 @@ def _reflect_map(psi: MonotoneMap) -> MonotoneMap:
                              for j in range(psi.dom)))
 
 
+@bounded_cache
+def _dual_map(phi: MonotoneMap) -> MonotoneMap:
+    # the map under dual of a morphism over phi (phi preserves bottom)
+    return _reflect_map(right_adjoint(phi))
+
+
 def dual(x):
     """Reverse the underlying ordinal.
 
@@ -629,8 +634,7 @@ def dual(x):
                          tuple(sorted(x.m - 1 - j for j in x.u)),
                          tamari_opposite(x.s))
     if isinstance(x, FskMorphism):
-        return _proved(dual(x.dst), dual(x.src),
-                       _reflect_map(right_adjoint(x.map)))
+        return _proved(dual(x.dst), dual(x.src), _dual_map(x.map))
     raise InputError("dual needs an object or a morphism")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .ordmaps import InputError
+from .ordmaps import InputError, bounded_cache
 from .tamari import Lbf, tamari_bottom, tamari_top
 from .fsk import (
     FskMorphism,
@@ -31,7 +31,7 @@ from .fsk import (
 _ELEMENT_RE = re.compile(r"([lt])(\d+)\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LElement:
     """An element l_n or t_n of the left-unital-multiplication operad."""
 
@@ -56,7 +56,7 @@ class LElement:
         except ValueError:  # more digits than int() converts
             raise InputError(f"arity of {text.strip()[:20]}... has "
                              f"{len(match.group(2))} digits, too many") from None
-        return cls(arity, match.group(1))
+        return _l_element(arity, match.group(1))
 
     def to_text(self) -> str:
         return f"{self.kind}{self.arity}"
@@ -65,7 +65,14 @@ class LElement:
         return f"LElement({self.to_text()})"
 
 
-L_UNIT = LElement(1, "t")
+@bounded_cache
+def _l_element(arity: int, kind: str) -> LElement:
+    # the operad has at most two elements per arity, so the operations
+    # below return one shared, checked instance of each
+    return LElement(arity, kind)
+
+
+L_UNIT = _l_element(1, "t")
 
 
 def l_leq(x: LElement, y: LElement) -> bool:
@@ -81,7 +88,7 @@ def l_substitute(x: LElement, xs: Sequence[LElement]) -> LElement:
     if x.arity == 0:
         return x
     kind = "t" if (x.kind == "t" and xs[0].kind == "t") else "l"
-    return LElement(sum(y.arity for y in xs), kind)
+    return _l_element(sum([y.arity for y in xs]), kind)
 
 
 def l_circ(x: LElement, i: int, y: LElement) -> LElement:
@@ -96,7 +103,7 @@ def l_circ(x: LElement, i: int, y: LElement) -> LElement:
 def q_of(obj: FskObject) -> LElement:
     """Collapse a word to its kind: t if the bottom position holds a
     generator, l otherwise; arity is the grade."""
-    return LElement(obj.grade, "t" if 0 in obj.u else "l")
+    return _l_element(obj.grade, "t" if 0 in obj.u else "l")
 
 
 def p_of(obj: FskObject) -> int:

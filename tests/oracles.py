@@ -21,7 +21,7 @@ from freeskew.tamari import (
     lbf_to_rbf,
     tamari_leq,
 )
-from freeskew.fsk import FskMorphism, is_morphism, objects_on
+from freeskew.fsk import FskMorphism, FskObject, is_morphism, objects_on
 from freeskew.words import (
     Leaf,
     Node,
@@ -284,6 +284,30 @@ def shrink_brackets_ok(sigma, s, t):
         return False
     return all(sigma(s(j)) == sigma(j)
                for j in range(sigma.dom) if j < star(sigma(j)))
+
+
+def shrink_oracle(src, dst, sigma):
+    """A shrink morphism by its definition: a surjection meeting the
+    generator conditions and shrink_brackets_ok, whose fibre condition
+    asks j < sigma*(sigma(j)) through the right adjoint."""
+    return (sigma.is_surjective and bij_ok_oracle(sigma, src.u, dst.u)
+            and shrink_brackets_ok(sigma, src.s, dst.s))
+
+
+@lru_cache(maxsize=None)
+def mirror_object(x):
+    """The object on the reversed ordinal, its bracket tree mirrored."""
+    return FskObject(x.m, tuple(sorted(x.m - 1 - j for j in x.u)),
+                     opposite_oracle(x.s))
+
+
+def swell_oracle(src, dst, delta):
+    """A swell morphism by its definition: the reflected right adjoint of
+    delta is a shrink morphism between the mirrored objects."""
+    if not delta.preserves_bottom:
+        return False
+    return shrink_oracle(mirror_object(dst), mirror_object(src),
+                         reflect_map(right_adjoint(delta)))
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import random
 import signal
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -73,7 +73,9 @@ from oracles import (
     objects_up_to,
     opposite_oracle,
     scan_search_ok,
+    shrink_oracle,
     surj_def_brackets_ok,
+    swell_oracle,
 )
 
 
@@ -277,6 +279,24 @@ class TestDirectScan:
                                 (images, s, t)
 
 
+class TestGeneratorCheck:
+    def test_matches_adjoint_oracle(self):
+        # every bottom-preserving map with m, n <= 5 against every pair
+        # of position sets, of equal length or not
+        verdicts = set()
+        for m in range(1, 6):
+            for n in range(1, 6):
+                us = [u for k in range(m + 1) for u in combinations(range(m), k)]
+                vs = [v for k in range(n + 1) for v in combinations(range(n), k)]
+                for phi in all_bottom_maps(m, n):
+                    for u in us:
+                        for v in vs:
+                            b = fsk._bij_ok(phi, u, v)
+                            assert b == bij_ok_oracle(phi, u, v), (phi, u, v)
+                            verdicts.add((len(u) == len(v), b))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+
 def random_word(rng, letters):
     if len(letters) == 1:
         return letters[0]
@@ -289,9 +309,10 @@ class TestCachePolicy:
                "tamari.conjugate_surj", "tamari.conjugate_inj",
                "ordmaps._identity_map", "fsk._collapse_map",
                "fsk._inclusion_map", "fsk._tensor_lbf",
-               "tamari.tamari_opposite", "ordmaps.ordinal_sum"}
-    UNBOUNDED = {"tamari.enumerate_tamari", "fsk._tensor_objects",
-                 "fsk.lambda_", "fsk.rho"}
+               "tamari.tamari_opposite", "ordmaps.ordinal_sum",
+               "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
+               "fsk._dual_map", "operads._l_element"}
+    UNBOUNDED = {"tamari.enumerate_tamari"}
 
     def test_point_queries_stay_bounded(self):
         # membership queries in all three modes plus the factorization of
@@ -446,6 +467,24 @@ class TestClassify:
                     seen["surj"].add(surj)
                     seen["inj"].add(inj)
         assert seen == {"surj": {False, True}, "inj": {False, True}}
+
+    def test_shrink_and_swell_match_definitions(self):
+        # is_shrink reads the fibres off the images and is_swell shares
+        # the map of each dual; the oracles take right adjoints of the
+        # map on every query, for every bottom-preserving map between
+        # objects with m, n <= 4
+        objs = objects_up_to(4)
+        seen = {"shrink": set(), "swell": set()}
+        for a in objs:
+            for b in objs:
+                for phi in all_bottom_maps(a.m, b.m):
+                    shrink = shrink_oracle(a, b, phi)
+                    swell = swell_oracle(a, b, phi)
+                    assert is_shrink(a, b, phi) == shrink, (a, b, phi)
+                    assert is_swell(a, b, phi) == swell, (a, b, phi)
+                    seen["shrink"].add(shrink)
+                    seen["swell"].add(swell)
+        assert seen == {"shrink": {False, True}, "swell": {False, True}}
 
 
 class TestComposeAndIdentity:

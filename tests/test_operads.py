@@ -83,6 +83,19 @@ class TestLElement:
         with pytest.raises(InputError):
             LElement.from_text("x2")
 
+    def test_operations_share_one_element_per_arity_and_kind(self):
+        t2 = LElement.from_text("t2")
+        assert "__slots__" in vars(LElement) and not hasattr(t2, "__dict__")
+        assert LElement.from_text("t2") is t2
+        assert l_substitute(LElement(2, "t"), [LElement(1, "t")] * 2) is t2
+        assert l_circ(LElement(1, "t"), 1, LElement(2, "t")) is t2
+        assert q_of(obj(2, (0, 1), (0, 1))) is t2
+        assert l_circ(LElement(2, "l"), 1, LElement(1, "t")) is not t2
+        # a bad element is rejected on every call, never remembered
+        for _ in range(2):
+            with pytest.raises(InputError):
+                LElement.from_text("t0")
+
     def test_order(self):
         assert l_leq(LElement(2, "l"), LElement(2, "t"))
         assert not l_leq(LElement(2, "t"), LElement(2, "l"))
