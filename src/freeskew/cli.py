@@ -181,7 +181,7 @@ def _cmd_axioms(args) -> int:
     if args.max_leaves > MAX_AXIOM_LEAVES:
         raise InputError(f"axioms takes --max-leaves <= {MAX_AXIOM_LEAVES}")
     checks = [
-        ("lambda_rho", 0, lambda: axiom_lambda_rho()),
+        ("lambda_rho", 0, axiom_lambda_rho),
         ("alpha_rho", 2, axiom_alpha_rho),
         ("alpha_lambda", 2, axiom_alpha_lambda),
         ("rho_alpha_lambda", 2, axiom_rho_alpha_lambda),

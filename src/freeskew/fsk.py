@@ -27,9 +27,10 @@ rho sit under the bounded cache policy, and a miss runs every check
 again; identities and alpha are built on each call.  Values that depend
 only on shape are shared, one checked instance each: the bracketing of
 a tensor is keyed by the two bracketings, the mirrored bracketing of
-dual by the bracketing, block sums and the maps of duals by their maps,
-and the identity, collapse and inclusion maps by size; a composite with
-a shared identity is the other map itself.
+dual by the bracketing, block sums and the maps of duals
+(ordmaps._dual_map, the reflected right adjoint) by their maps, and the
+identity, collapse and inclusion maps by size; a composite with a
+shared identity is the other map itself.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from operator import lt
 from .ordmaps import (
     InputError,
     MonotoneMap,
+    _dual_map,
     bounded_cache,
     epi_mono_factorize,
     ordinal_sum,
-    right_adjoint,
 )
 from . import ordmaps
 from .tamari import (
@@ -379,11 +380,11 @@ def classify(f: FskMorphism) -> MorphismClass:
 # identity and alpha keep no cache: identity reuses the shared map of
 # its size, and a lookup keyed by alpha's three objects costs about as
 # much as building the morphism.  The values that depend on shape alone
-# (_tensor_lbf, tamari_opposite, ordmaps.ordinal_sum, _dual_map and the
-# maps shared by size) are few: the sweep over 7 leaves meets about 600
-# bracketings and 101 block sums but asks for them about 230,000 times,
-# so each is built and checked once, and every tensor with the same
-# shape of factors holds the same bracketing.
+# (_tensor_lbf, tamari_opposite, ordmaps.ordinal_sum, ordmaps._dual_map
+# and the maps shared by size) are few: the sweep over 7 leaves meets
+# about 600 bracketings and 101 block sums but asks for them about
+# 230,000 times, so each is built and checked once, and every tensor
+# with the same shape of factors holds the same bracketing.
 def identity(obj: FskObject) -> FskMorphism:
     """The identity on obj, a morphism by definition (not re-proved)."""
     return _proved(obj, obj, MonotoneMap.identity(obj.m))
@@ -607,19 +608,6 @@ def objects_on(m: int) -> list[FskObject]:
 # ---------------------------------------------------------------------------
 
 
-def _reflect_map(psi: MonotoneMap) -> MonotoneMap:
-    # transport psi across the reversals of both ordinals
-    return MonotoneMap(psi.dom, psi.cod,
-                       tuple(psi.cod - 1 - psi.images[psi.dom - 1 - j]
-                             for j in range(psi.dom)))
-
-
-@bounded_cache
-def _dual_map(phi: MonotoneMap) -> MonotoneMap:
-    # the map under dual of a morphism over phi (phi preserves bottom)
-    return _reflect_map(right_adjoint(phi))
-
-
 def dual(x):
     """Reverse the underlying ordinal.
 
@@ -631,7 +619,7 @@ def dual(x):
     """
     if isinstance(x, FskObject):
         return FskObject(x.m,
-                         tuple(sorted(x.m - 1 - j for j in x.u)),
+                         tuple(x.m - 1 - j for j in reversed(x.u)),
                          tamari_opposite(x.s))
     if isinstance(x, FskMorphism):
         return _proved(dual(x.dst), dual(x.src), _dual_map(x.map))

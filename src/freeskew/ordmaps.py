@@ -2,7 +2,9 @@
 
 The ordinal of size m stands for {0, ..., m-1}; a map is stored as the
 dense tuple of its images.  Everything here is immutable and pure, so
-values can be shared freely between threads.
+values can be shared freely between threads.  Reversing both ordinals
+reflects a map; tamari and fsk derive each mirror-image construction
+from its twin through that reflection and the right adjoint.
 
 The package's cache policy lives here too: bounded_cache, and
 cache_stats to report on every cache in the package.
@@ -157,19 +159,26 @@ def right_adjoint(phi: MonotoneMap) -> MonotoneMap:
 def second_right_adjoint(phi: MonotoneMap) -> MonotoneMap:
     """The right adjoint of right_adjoint(phi).
 
-    Computed by cases on whether phi separates i from i+1, reading the
-    virtual top value phi(dom) := cod.  Exists iff phi(0) = 0 and phi
-    sends no positive element to 0.
+    Exists iff phi(0) = 0 and phi sends no positive element to 0, that
+    is, iff right_adjoint(phi) preserves bottom too.
     """
-    if not phi.preserves_bottom:
-        raise NoAdjointError(f"{phi!r} does not preserve bottom")
-    if phi.dom >= 2 and phi.images[1] == 0:
+    star = right_adjoint(phi)
+    if not star.preserves_bottom:
         raise NoAdjointError(f"right adjoint of {phi!r} is not bottom-preserving")
-    extended = phi.images + (phi.cod,)
-    values = tuple(
-        extended[i + 1] - 1 if extended[i] < extended[i + 1] else extended[i] - 1
-        for i in range(phi.dom))
-    return MonotoneMap(phi.dom, phi.cod, values)
+    return right_adjoint(star)
+
+
+def _reflect_map(psi: MonotoneMap) -> MonotoneMap:
+    # transport psi across the reversals of both ordinals
+    return MonotoneMap(psi.dom, psi.cod,
+                       tuple(map((psi.cod - 1).__sub__, reversed(psi.images))))
+
+
+@bounded_cache
+def _dual_map(phi: MonotoneMap) -> MonotoneMap:
+    # the reflected right adjoint (phi preserves bottom): the map under
+    # the dual of a morphism over phi, a surjection when phi is injective
+    return _reflect_map(right_adjoint(phi))
 
 
 def epi_mono_factorize(phi: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:

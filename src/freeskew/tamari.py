@@ -7,8 +7,13 @@ lbfs on ord m form the Tamari lattice.  Right bracketing functions
 word right to left; they are Huang and Tamari's bracketing vectors
 (J. Combin. Theory A 13, 1972).  Nothing here builds a bracket tree.
 
-Validating either kind and converting between them take one pass with
-a stack each, O(m).  The conversions, conjugations and opposites are
+Reversing the ordinal (_mirror) turns an rbf into an lbf, so each
+operation has one kernel and its mirror-image twin is derived from it:
+validate_rbf checks the mirror with validate_lbf, rbf_to_lbf is the
+opposite of the mirror, the meet is the opposite of the join of the
+opposites, and base_change_inj mirrors base_change_surj along the
+reflected right adjoint.  validate_lbf and lbf_to_rbf take one pass with
+a stack each, O(m).  lbf_to_rbf, the conjugations and opposites are
 memoized under the package's bounded cache policy
 (ordmaps.bounded_cache), so dual and is_swell share one mirrored lbf
 per bracketing; the changes of base, which only the factorizations
@@ -22,7 +27,7 @@ from functools import lru_cache
 from operator import le
 from typing import Iterator, Sequence
 
-from .ordmaps import InputError, MonotoneMap, bounded_cache, right_adjoint
+from .ordmaps import InputError, MonotoneMap, _dual_map, bounded_cache, right_adjoint
 
 
 def validate_lbf(values: Sequence[int]) -> bool:
@@ -53,25 +58,20 @@ def validate_lbf(values: Sequence[int]) -> bool:
 def validate_rbf(values: Sequence[int]) -> bool:
     """True iff values is a right bracketing function on ord len(values).
 
-    The mirror image of validate_lbf: r(0) = 0, j <= r(j) < m, and
-    r(i) <= r(j) for j < i <= r(j), checked by the same stack scan run
-    from right to left.
+    The conditions r(0) = 0, j <= r(j) < m, and r(i) <= r(j) for
+    j < i <= r(j) are the lbf conditions read on the reversed ordinal,
+    so the mirror is checked by validate_lbf.  Most sequences fail at
+    r(0), which is checked before the mirror is built.
     """
-    m = len(values)
-    if m == 0:
-        raise InputError("empty sequence is not a bracketing function")
-    if values[0] != 0:
+    if values and values[0] != 0:
         return False
-    outer = [m]  # left ends j, decreasing, over a bottom no r(j) reaches
-    for j in range(m - 1, -1, -1):
-        vj = values[j]
-        if not j <= vj < m:
-            return False
-        while outer[-1] <= vj:
-            if values[outer.pop()] > vj:
-                return False
-        outer.append(j)
-    return True
+    return validate_lbf(_mirror(values))
+
+
+def _mirror(values: Sequence[int]) -> tuple[int, ...]:
+    # the same function on the reversed ordinal: j -> m-1 - v(m-1-j);
+    # it turns an rbf into an lbf and back
+    return tuple(map((len(values) - 1).__sub__, reversed(values)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,31 +149,20 @@ def lbf_to_rbf(lbf: Lbf) -> Rbf:
     return Rbf(tuple(r))
 
 
-@bounded_cache
 def rbf_to_lbf(rbf: Rbf) -> Lbf:
     """The unique lbf with lbf_to_rbf(lbf) = rbf.
 
-    l(j) = max{i <= j : r(i) > j}, or 0 where the set is empty; the top
-    entry is forced.  Every valid rbf is realizable, so l always exists.
-    One pass from right to left: a stack holds the positions j >= i not
-    assigned yet, and r(i) assigns those below it; position m-1 never
-    gets assigned.
+    Mirroring the rbf of an lbf gives the lbf's opposite, an involution,
+    so the lbf is the opposite of the mirrored rbf; every valid rbf is
+    realizable.
     """
-    r, m = rbf.values, rbf.m
-    l = [0] * (m - 1) + [m - 1]
-    unassigned = [m - 1]
-    for i in range(m - 2, 0, -1):
-        unassigned.append(i)
-        while unassigned[-1] < r[i]:
-            l[unassigned.pop()] = i
-    return Lbf(tuple(l))
+    return tamari_opposite(Lbf(_mirror(rbf.values)))
 
 
 @bounded_cache
 def tamari_opposite(lbf: Lbf) -> Lbf:
     """The same bracketing read on the reversed ordinal (an involution)."""
-    r, m = lbf_to_rbf(lbf).values, lbf.m
-    return Lbf(tuple(m - 1 - r[m - 1 - j] for j in range(m)))
+    return Lbf(_mirror(lbf_to_rbf(lbf).values))
 
 
 def tamari_leq(s: Lbf, t: Lbf) -> bool:
@@ -191,12 +180,11 @@ def tamari_join(s: Lbf, t: Lbf) -> Lbf:
 
 
 def tamari_meet(s: Lbf, t: Lbf) -> Lbf:
-    """Greatest lower bound: the lbf of the pointwise minimum of the two
-    rbfs, since rbfs are ordered pointwise too."""
+    """Greatest lower bound: tamari_opposite reverses the order, so the
+    meet is the opposite of the join of the opposites."""
     if s.m != t.m:
         raise InputError(f"cannot meet lbfs on ord {s.m} and ord {t.m}")
-    r_s, r_t = lbf_to_rbf(s).values, lbf_to_rbf(t).values
-    return rbf_to_lbf(Rbf(tuple(min(a, b) for a, b in zip(r_s, r_t))))
+    return tamari_opposite(tamari_join(tamari_opposite(s), tamari_opposite(t)))
 
 
 def iter_tamari(m: int) -> Iterator[Lbf]:
@@ -267,7 +255,11 @@ def base_change_surj(sigma: MonotoneMap, lbf: Lbf) -> Lbf:
 def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
     """Push an rbf forward along a bottom-preserving injection delta.
 
-    Mirror image of base_change_surj; satisfies result . delta = delta . rbf.
+    The mirror image of base_change_surj: the reflected right adjoint of
+    delta is a surjection, along which the mirror of rbf (an lbf) is
+    pulled back, and the mirror of that is the result.  It satisfies
+    result . delta = delta . rbf, and it is the identity off the image
+    of delta.
     """
     if not delta.is_injective:
         raise InputError(f"{delta!r} is not injective")
@@ -275,11 +267,8 @@ def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
         raise InputError(f"{delta!r} does not preserve bottom")
     if rbf.m != delta.dom:
         raise InputError(f"rbf lives on ord {rbf.m}, expected ord {delta.dom}")
-    star = right_adjoint(delta)
-    values = tuple(
-        delta(rbf(star(j))) if delta(star(j)) == j else j
-        for j in range(delta.cod))
-    result = Rbf(values)
+    lifted = base_change_surj(_dual_map(delta), Lbf(_mirror(rbf.values)))
+    result = Rbf(_mirror(lifted.values))
     if not all(result(delta(i)) == delta(rbf(i)) for i in range(delta.dom)):
         raise RuntimeError(f"{result!r} does not push {rbf!r} along {delta!r}")
     return result

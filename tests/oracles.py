@@ -430,6 +430,14 @@ def rbf_to_lbf_loop(rbf):
                  for j in range(m - 1)) + (m - 1,)
 
 
+def base_change_inj_formula(delta, rbf):
+    """The pushed rbf entry by entry: delta(r(delta*(j))) on the image of
+    delta, where delta(delta*(j)) = j, and j elsewhere."""
+    star = brute_right_adjoint(delta)
+    return tuple(delta(rbf(star(j))) if delta(star(j)) == j else j
+                 for j in range(delta.cod))
+
+
 def direct_min_ok(images, svalues, tvalues):
     """The direct bracket condition, level by level: at each occupied
     level h > 0, the first block (k last in its fibre) at or above h that

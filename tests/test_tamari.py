@@ -30,6 +30,7 @@ from oracles import (
     all_bottom_injections,
     all_surjections,
     all_trees,
+    base_change_inj_formula,
     brute_join,
     brute_lbfs,
     brute_meet,
@@ -268,6 +269,16 @@ class TestBaseChangeInj:
                         pushed = base_change_inj(delta, r)
                         for i in range(n):
                             assert pushed(delta(i)) == delta(r(i))
+
+    def test_matches_formula_oracle(self):
+        # every entry, off the image of delta too
+        for n in range(1, 6):
+            for m in range(n, 7):
+                for delta in all_bottom_injections(n, m):
+                    for s in enumerate_tamari(n):
+                        r = lbf_to_rbf(s)
+                        assert (base_change_inj(delta, r).values
+                                == base_change_inj_formula(delta, r))
 
 
 class TestConjugation:
