@@ -42,8 +42,9 @@ from .words import (
 
 
 # Size limits, so that no input asks for unbounded work: Catalan(13) =
-# 742,900 lbfs; the axiom sweep the acceptance suite runs; about a
-# second of filtering hom candidates; and operad words as long as the
+# 742,900 lbfs; the axiom sweep the acceptance suite runs; hom-sets with
+# at most 100,000 candidate maps (hom_candidate_count), a bound on the
+# morphisms the pruned search lists; and operad words as long as the
 # 1,501-letter combs the deep-word tests run.
 MAX_TAMARI_ENUM = 14
 MAX_AXIOM_LEAVES = 8
@@ -111,7 +112,7 @@ def _cmd_hom(args) -> int:
     src, dst = parse_object(args.src), parse_object(args.dst)
     count = hom_candidate_count(src, dst)
     if count > MAX_HOM_CANDIDATES:
-        raise InputError(f"hom would test {count} candidate maps, "
+        raise InputError(f"hom has {count} candidate maps, "
                          f"more than {MAX_HOM_CANDIDATES}")
     morphisms = hom(src, dst)
     if args.json:

@@ -16,8 +16,9 @@ bracket check are single linear passes over the map, with no cache.
 Each morphism is proved once.  FskMorphism(...) runs the full proof, and
 so does everything that enters from outside.  The constructions below
 build through _proved, which skips it, only where membership is already
-decided: hom-sets pin every generator to its image and vary only the
-units between the pins, so they test the bracket condition alone;
+decided: hom-sets pin every generator to its image and search only the
+units between the pins, pruned by the scan of the bracket condition,
+so each leaf they reach needs that condition alone;
 identities, the associator (a rebracketing), lambda_ and rho after
 is_shrink and is_swell, the parts of the factorizations after their
 class checks; and composites, tensors and duals of morphisms, which the
@@ -36,7 +37,7 @@ shared identity is the other map itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations
 from math import comb, prod
 from operator import lt
 
@@ -563,8 +564,10 @@ def _hom_blocks(a: FskObject, b: FskObject) -> list[tuple[int, int, int]] | None
 
 
 def hom_candidate_count(a: FskObject, b: FskObject) -> int:
-    """How many candidate maps hom(a, b) tests, counted without building
-    them: a product of one binomial per run of free units."""
+    """How many maps meet the bottom and generator conditions for
+    a -> b, counted without building them: a product of one binomial per
+    run of free units.  hom(a, b) lists a subset of these, so this
+    bounds its output."""
     blocks = _hom_blocks(a, b)
     if blocks is None:
         return 0
@@ -575,22 +578,85 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     """All morphisms a -> b, ordered lexicographically by image tuples.
 
     The generator bijection pins each generator of a to its image, so
-    only the units between the pins are enumerated, block by block.
-    Every candidate already preserves the bottom and meets the generator
-    conditions, so it is kept if it meets the "direct" bracket
-    condition; that one check is its whole proof, so the listed
-    morphisms are not proved again.  The work is
-    hom_candidate_count(a, b) candidate maps.
+    only the units between the pins vary.  A depth-first search fills
+    the positions 1..a.m-1 in order, each within its run of _hom_blocks
+    and at or above the previous image, and carries the scan of
+    _bracket_direct_ok along: once image j passes image j-1, position
+    j-1 is last in its fibre and enters the scan's stack of pending
+    levels.  A prefix is dropped when the scan fails, or when a pending
+    level h has r_T(h) below the current image, since every later image
+    is at least as high.  Each leaf is kept if the "direct" bracket
+    condition holds; that one check is its whole proof, so the listed
+    morphisms are not proved again.  The search is iterative, with an
+    undo trail for the stack, so deep words do not reach the recursion
+    limit.
     """
     blocks = _hom_blocks(a, b)
     if blocks is None:
         return []
+    los, his = [0], [1]
+    for k, lo, hi in blocks:
+        los += [lo] * k
+        his += [hi] * k
+    m, svalues = a.m, a.s.values
+    r_t = lbf_to_rbf(b.s).values
+    images = [0] * m
+    # pending holds the scan's levels above a sentinel 0 that never pops;
+    # lows[i] is the least r_T over pending[1:i + 1], above a sentinel
+    # b.m that no image reaches
+    pending, lows = [0], [b.m]
+    trail: list[int] = []  # the levels popped from pending, to restore
+    # marks[j]: the trail length before position j-1 was scanned, or -1
+    # while image j still equals image j-1 and it has not been
+    marks = [-1] * m
+    nexts = list(los)  # nexts[j]: the next image to try at position j
     out = []
-    for parts in product(*(combinations_with_replacement(range(lo, hi), k)
-                           for k, lo, hi in blocks)):
-        phi = MonotoneMap(a.m, b.m, (0,) + tuple(chain.from_iterable(parts)))
-        if _bracket_direct_ok(phi, a.s, b.s):
-            out.append(_proved(a, b, phi))
+    j = 1
+    while j:
+        if j == m:
+            phi = MonotoneMap(m, b.m, tuple(images))
+            if _bracket_direct_ok(phi, a.s, b.s):
+                out.append(_proved(a, b, phi))
+            j -= 1
+            continue
+        v, prev = nexts[j], images[j - 1]
+        alive = v < his[j]
+        if alive and v > prev and marks[j] < 0:
+            # the first image above prev: position j-1 closes its fibre
+            marks[j] = len(trail)
+            if prev:
+                pending.append(prev)
+                lows.append(min(lows[-1], r_t[prev]))
+            opens = images[svalues[j - 1]]
+            while pending[-1] > opens:
+                h = pending.pop()
+                lows.pop()
+                trail.append(h)
+                if prev > r_t[h]:
+                    alive = False
+                    break
+        if alive and lows[-1] < v:
+            alive = False
+        if not alive:
+            mark = marks[j]
+            if mark >= 0:
+                # undo the scan of position j-1: put back what it popped,
+                # then take off what it pushed
+                for h in reversed(trail[mark:]):
+                    pending.append(h)
+                    lows.append(min(lows[-1], r_t[h]))
+                del trail[mark:]
+                if prev:
+                    pending.pop()
+                    lows.pop()
+                marks[j] = -1
+            j -= 1
+            continue
+        images[j] = v
+        nexts[j] = v + 1
+        j += 1
+        if j < m:
+            nexts[j] = max(los[j], v)
     return out
 
 

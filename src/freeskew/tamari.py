@@ -301,4 +301,7 @@ def conjugate_inj(delta: MonotoneMap, s: Lbf) -> Lbf:
         raise InputError(f"lbf lives on ord {s.m}, expected ord {delta.cod}")
     star = right_adjoint(delta)
     r_s = lbf_to_rbf(s)
-    return rbf_to_lbf(Rbf(tuple(star(r_s(delta(j))) for j in range(delta.dom))))
+    # rbf_to_lbf without building the Rbf: the Lbf of the mirror runs
+    # the same check once
+    return tamari_opposite(Lbf(_mirror(
+        tuple(star(r_s(delta(j))) for j in range(delta.dom)))))

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence, Union
 
-from .ordmaps import InputError, MonotoneMap
+from .ordmaps import InputError, MonotoneMap, bounded_cache
 from .tamari import Lbf, lbf_to_rbf
 from .fsk import FskMorphism, FskObject
 
@@ -157,11 +157,14 @@ def parse_object(text: str) -> FskObject:
     return FskObject(m, tuple(u), Lbf(tuple(values) + (m - 1,)))
 
 
+@bounded_cache
 def format_object(obj: FskObject) -> str:
     """Canonical minimal-whitespace form; parse_object inverts it.
 
     A pair opens before letter a once for every j < m-1 with S(j) = a,
     and closes after letter b once for every i >= 1 with r_S(i) = b.
+    Cached, so that the morphisms of a hom-set, which share both ends,
+    format each end once.
     """
     openings = Counter(obj.s.values[:-1])
     closings = Counter(lbf_to_rbf(obj.s).values[1:])

@@ -6,7 +6,7 @@ the code paths they are checking.
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 from freeskew.ordmaps import (
     InputError,
@@ -21,7 +21,14 @@ from freeskew.tamari import (
     lbf_to_rbf,
     tamari_leq,
 )
-from freeskew.fsk import FskMorphism, FskObject, is_morphism, objects_on
+from freeskew.fsk import (
+    FskMorphism,
+    FskObject,
+    _bracket_direct_ok,
+    _hom_blocks,
+    is_morphism,
+    objects_on,
+)
 from freeskew.words import (
     Leaf,
     Node,
@@ -375,6 +382,23 @@ def filter_hom(a, b):
         phi = MonotoneMap(a.m, b.m, (0,) + tail)
         if is_morphism(a, b, phi):
             out.append(FskMorphism(a, b, phi))
+    return out
+
+
+def pinned_filter_hom(a, b):
+    """The maps of all morphisms a -> b by generate-and-filter over the
+    pinned candidates: every weakly increasing filling of the unit blocks
+    of fsk._hom_blocks is tested with the direct bracket check, in
+    lexicographic order."""
+    blocks = _hom_blocks(a, b)
+    if blocks is None:
+        return []
+    out = []
+    for parts in product(*(combinations_with_replacement(range(lo, hi), k)
+                           for k, lo, hi in blocks)):
+        phi = MonotoneMap(a.m, b.m, (0,) + tuple(chain.from_iterable(parts)))
+        if _bracket_direct_ok(phi, a.s, b.s):
+            out.append(phi)
     return out
 
 

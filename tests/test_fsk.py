@@ -72,6 +72,7 @@ from oracles import (
     monotone_loop_check,
     objects_up_to,
     opposite_oracle,
+    pinned_filter_hom,
     scan_search_ok,
     shrink_oracle,
     surj_def_brackets_ok,
@@ -311,7 +312,8 @@ class TestCachePolicy:
                "fsk._inclusion_map", "fsk._tensor_lbf",
                "tamari.tamari_opposite", "ordmaps.ordinal_sum",
                "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
-               "ordmaps._dual_map", "operads._l_element"}
+               "ordmaps._dual_map", "operads._l_element",
+               "words.format_object"}
     UNBOUNDED = {"tamari.enumerate_tamari"}
 
     def test_point_queries_stay_bounded(self):
@@ -654,9 +656,43 @@ class TestHom:
             a, b = word(m, grade), word(n, grade)
             assert hom(a, b) == filter_hom(a, b), (a, b)
 
+    def test_matches_pinned_filter_unit_heavy(self):
+        # the unit-heavy sample: words of 10 to 12 letters with 0 to 2
+        # generators, where most pinned candidates fail the bracket check;
+        # pairs past 100,000 candidates are drawn again, since the filter
+        # takes seconds on each
+        rng = random.Random(2026)
+
+        def word(m, grade):
+            u = set(rng.sample(range(m), grade))
+            return parse_object(random_word(
+                rng, ["X" if j in u else "I" for j in range(m)]))
+
+        pairs = 0
+        while pairs < 10:
+            m = rng.randint(10, 12)
+            grade = rng.randint(0, 2)
+            a, b = word(m, grade), word(m, grade)
+            if not 0 < hom_candidate_count(a, b) <= 100_000:
+                continue
+            pairs += 1
+            morphisms = hom(a, b)
+            assert all(f.src == a and f.dst == b for f in morphisms)
+            assert [f.map for f in morphisms] == pinned_filter_hom(a, b), (a, b)
+
+    def test_matches_pinned_filter_exhaustive(self):
+        # every same-grade pair with m, n <= 5 and grade <= 1
+        objs = [x for x in objects_up_to(5) if x.grade <= 1]
+        for a in objs:
+            for b in objs:
+                if a.grade == b.grade:
+                    assert ([f.map for f in hom(a, b)]
+                            == pinned_filter_hom(a, b)), (a, b)
+
     def test_proves_each_listed_map_once(self, monkeypatch):
-        # the candidates meet the generator conditions by construction,
-        # so the bracket check, once per candidate, is the whole proof
+        # every leaf the search reaches is a morphism: it passes the
+        # bracket check, which is its whole proof; the unit combs have
+        # 48,620 pinned candidates for 82 morphisms
         calls = {"_bracket_direct_ok": 0, "is_morphism": 0}
 
         def counted(name):
@@ -669,11 +705,15 @@ class TestHom:
 
         for name in calls:
             monkeypatch.setattr(fsk, name, counted(name))
-        a = parse_object("(((I I) (I X)) ((I I) I))")
-        b = parse_object("((I (I X)) (I (I I)))")
-        assert len(hom(a, b)) == 60
-        assert calls == {"_bracket_direct_ok": hom_candidate_count(a, b),
-                         "is_morphism": 0}
+        for src, dst, candidates, morphisms in [
+                ("(((I I) (I X)) ((I I) I))", "((I (I X)) (I (I I)))", 60, 60),
+                (right_comb(10).replace("X", "I"),
+                 left_comb(10).replace("X", "I"), 48620, 82)]:
+            a, b = parse_object(src), parse_object(dst)
+            calls.update(dict.fromkeys(calls, 0))
+            assert len(hom(a, b)) == morphisms
+            assert calls == {"_bracket_direct_ok": morphisms, "is_morphism": 0}
+            assert hom_candidate_count(a, b) == candidates
 
     def test_candidate_count_is_a_product_of_blocks(self):
         # position 0 goes to 0, then one unit in [0, 2], two in (2, 4]

@@ -95,6 +95,19 @@ class TestTextAndJsonForms:
         for f in [lambda_(X), rho(I), tensor(lambda_(X), rho(X))]:
             assert parse_morphism(format_morphism(f)) == f
 
+    def test_hom_lines_match_uncached_ends(self):
+        # format_object is cached; every line over a hom-set still reads
+        # its two ends as a fresh format gives them
+        a = parse_object("(((I I) (I X)) ((I I) I))")
+        b = parse_object("((I (I X)) (I (I I)))")
+        morphisms = hom(a, b)
+        assert len(morphisms) == 60
+        for f in morphisms:
+            head, _, images = format_morphism(f).partition(" ; ")
+            assert head == (f"{format_object.__wrapped__(f.src)} -> "
+                            f"{format_object.__wrapped__(f.dst)}")
+            assert images == ",".join(map(str, f.map.images))
+
     def test_morphism_text_shape(self):
         assert format_morphism(lambda_(X)) == "(I X) -> X ; 0,0"
         with pytest.raises(InputError):
