@@ -536,7 +536,7 @@ def factor_general(f: FskMorphism) -> tuple[FskMorphism, FskObject, FskMorphism]
 
 
 def _hom_blocks(a: FskObject, b: FskObject) -> list[tuple[int, int, int]] | None:
-    """The maps hom(a, b) tests, as runs of the letters 1..a.m-1 in order.
+    """The maps hom(a, b) searches, as runs of the letters 1..a.m-1 in order.
 
     A run (k, lo, hi) is k letters whose images may be any weakly
     increasing values in range(lo, hi).  Position 0 goes to 0, and
