@@ -13,13 +13,16 @@ finds a middle bracketing by a pruned depth-first search, never by
 scanning the Tamari lattice.  The generator condition and the "direct"
 bracket check are single linear passes over the map, with no cache.
 
-Each morphism is proved once.  FskMorphism(...) runs the full proof, and
-so does everything that enters from outside.  The constructions below
-build through _proved, which skips it, only where membership is already
-decided: hom-sets pin every generator to its image and search only the
-units between the pins, pruned by the scan of the bracket condition,
-so each leaf they reach needs that condition alone;
-identities, the associator (a rebracketing), lambda_ and rho after
+An FskObject is built like the maps and bracketings under it: __init__
+hands the arguments to __post_init__, which checks them and stores them
+through the slots.  Each morphism is proved once.  FskMorphism(...) runs
+the full proof, and so does everything that enters from outside.  The
+constructions below build through _proved, which stores the fields
+through the same slot setters and skips the proof, only where
+membership is already decided: hom-sets pin every generator to its
+image and search only the units between the pins, pruned by the scan
+of the bracket condition, so each leaf they reach needs that condition
+alone; identities, the associator (a rebracketing), lambda_ and rho after
 is_shrink and is_swell, the parts of the factorizations after their
 class checks; and composites, tensors and duals of morphisms, which the
 paper's theorems make morphisms again (tests/test_fsk.py checks that
@@ -40,6 +43,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
 from operator import lt
+from typing import Sequence
 
 from .ordmaps import (
     InputError,
@@ -68,7 +72,7 @@ from .tamari import (
 MODES = ("direct", "via_factor", "via_search")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FskObject:
     """A bracketed word in X and I: ordinal size, X-positions, bracketing."""
 
@@ -77,19 +81,23 @@ class FskObject:
     s: Lbf
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        u = tuple(self.u)
-        object.__setattr__(self, "u", u)
-        if self.m < 1:
+    def __init__(self, m: int, u: Sequence[int], s: Lbf) -> None:
+        self.__post_init__(m, tuple(u), s)
+
+    def __post_init__(self, m: int, u: tuple[int, ...], s: Lbf) -> None:
+        if m < 1:
             raise InputError("objects have at least one letter")
-        if self.s.m != self.m:
-            raise InputError(f"bracketing on ord {self.s.m} does not fit ord {self.m}")
+        if len(s.values) != m:
+            raise InputError(f"bracketing on ord {s.m} does not fit ord {m}")
         # the conditions of _check_positions, run by builtins: in range
         # at both ends and strictly increasing in between; the loops run
         # only to raise their messages
-        if u and not (u[0] >= 0 and u[-1] < self.m and all(map(lt, u, u[1:]))):
-            _check_positions(u, self.m)
-        object.__setattr__(self, "_hash", hash((u, self.s)))
+        if u and not (u[0] >= 0 and u[-1] < m and all(map(lt, u, u[1:]))):
+            _check_positions(u, m)
+        _set_obj_m(self, m)
+        _set_obj_u(self, u)
+        _set_obj_s(self, s)
+        _set_obj_hash(self, hash((u, s)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,6 +111,14 @@ class FskObject:
         u = ",".join(str(j) for j in self.u)
         s = ",".join(str(v) for v in self.s.values)
         return f"FskObject(m={self.m}, u={{{u}}}, s={s})"
+
+
+# The slot setters, past the frozen guard: only the check above stores
+# through them.
+_set_obj_m = FskObject.m.__set__
+_set_obj_u = FskObject.u.__set__
+_set_obj_s = FskObject.s.__set__
+_set_obj_hash = FskObject._hash.__set__
 
 
 def _check_positions(u: tuple[int, ...], m: int) -> None:
@@ -135,14 +151,20 @@ class FskMorphism:
         return f"FskMorphism({self.src!r} -> {self.dst!r}; {imgs})"
 
 
+# _proved's slot setters, past the frozen guard
+_set_src = FskMorphism.src.__set__
+_set_dst = FskMorphism.dst.__set__
+_set_map = FskMorphism.map.__set__
+
+
 def _proved(src: FskObject, dst: FskObject, phi: MonotoneMap) -> FskMorphism:
     # The morphism src -> dst over phi, whose membership the caller has
     # already decided: the fields of FskMorphism without is_morphism.
     # Only this module calls it (CI checks that).
     f = object.__new__(FskMorphism)
-    object.__setattr__(f, "src", src)
-    object.__setattr__(f, "dst", dst)
-    object.__setattr__(f, "map", phi)
+    _set_src(f, src)
+    _set_dst(f, dst)
+    _set_map(f, phi)
     return f
 
 
@@ -172,11 +194,14 @@ def _bij_ok(phi: MonotoneMap, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     # u <-> v.  Both are strictly increasing and the map is monotone, so
     # that holds exactly when they have one length and the map sends
     # each u_i to v_i as the last point of its fibre.
+    if len(u) != len(v):
+        return False
     images = phi.images
     last = len(images) - 1
-    return len(u) == len(v) and all(
-        images[j] == i and (j == last or images[j + 1] > i)
-        for j, i in zip(u, v))
+    for j, i in zip(u, v):
+        if images[j] != i or (j != last and images[j + 1] <= i):
+            return False
+    return True
 
 
 def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
@@ -325,8 +350,10 @@ def is_shrink(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> bool:
         return False
     # j < sigma*(sigma(j)) says exactly that j is not last in its fibre
     images, svalues = sigma.images, src.s.values
-    return all(images[svalues[j]] == images[j]
-               for j in range(src.m - 1) if images[j] == images[j + 1])
+    for j in range(src.m - 1):
+        if images[j] == images[j + 1] and images[svalues[j]] != images[j]:
+            return False
+    return True
 
 
 def is_swell(src: FskObject, dst: FskObject, delta: MonotoneMap) -> bool:
@@ -407,8 +434,8 @@ def _tensor_lbf(s: Lbf, t: Lbf) -> Lbf:
 
 @bounded_cache
 def _tensor_objects(a: FskObject, b: FskObject) -> FskObject:
-    return FskObject(a.m + b.m,
-                     a.u + tuple(j + a.m for j in b.u),
+    m = a.m
+    return FskObject(m + b.m, a.u + tuple([j + m for j in b.u]),
                      _tensor_lbf(a.s, b.s))
 
 
@@ -684,8 +711,8 @@ def dual(x):
     a morphism is a morphism, so it is not proved again.
     """
     if isinstance(x, FskObject):
-        return FskObject(x.m,
-                         tuple(x.m - 1 - j for j in reversed(x.u)),
+        top = x.m - 1
+        return FskObject(x.m, [top - j for j in reversed(x.u)],
                          tamari_opposite(x.s))
     if isinstance(x, FskMorphism):
         return _proved(dual(x.dst), dual(x.src), _dual_map(x.map))

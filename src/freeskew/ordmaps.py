@@ -1,10 +1,13 @@
 """Finite non-empty ordinals and the order-preserving maps between them.
 
 The ordinal of size m stands for {0, ..., m-1}; a map is stored as the
-dense tuple of its images.  Everything here is immutable and pure, so
-values can be shared freely between threads.  Reversing both ordinals
-reflects a map; tamari and fsk derive each mirror-image construction
-from its twin through that reflection and the right adjoint.
+dense tuple of its images.  A map is built in one call: __init__ hands
+the arguments to __post_init__, which checks them as locals and only
+then stores them through the slots, so a map costs little more than its
+check.  Everything here is immutable and pure, so values can be shared
+freely between threads.  Reversing both ordinals reflects a map; tamari
+and fsk derive each mirror-image construction from its twin through
+that reflection and the right adjoint.
 
 The package's cache policy lives here too: bounded_cache, and
 cache_stats to report on every cache in the package.
@@ -16,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import le
+from typing import Sequence
 
 # The one policy for caches keyed by values: membership proofs and
 # bracketing conversions.  A miss costs O(m), so remembering every answer
@@ -50,7 +54,7 @@ class NoAdjointError(InputError):
     """The map has no right adjoint (or no second right adjoint)."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MonotoneMap:
     """An order-preserving function between finite non-empty ordinals."""
 
@@ -59,21 +63,27 @@ class MonotoneMap:
     images: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if self.dom < 1 or self.cod < 1:
+    def __init__(self, dom: int, cod: int, images: Sequence[int]) -> None:
+        self.__post_init__(dom, cod, tuple(images))
+
+    def __post_init__(self, dom: int, cod: int, images: tuple[int, ...]) -> None:
+        # the one check of every map, run on the arguments; the fields are
+        # stored only once it passes
+        if dom < 1 or cod < 1:
             raise InputError("ordinals must be non-empty")
-        if len(images) != self.dom:
+        if len(images) != dom:
             raise InputError(
-                f"expected {self.dom} images, got {len(images)}")
+                f"expected {dom} images, got {len(images)}")
         # the conditions of _check_images, run by builtins: in range at
         # both ends and weakly increasing in between; the loop runs only
         # to raise its message
-        if not (images[0] >= 0 and images[-1] < self.cod
+        if not (images[0] >= 0 and images[-1] < cod
                 and all(map(le, images, images[1:]))):
-            _check_images(images, self.cod)
-        object.__setattr__(self, "_hash", hash((self.cod, images)))
+            _check_images(images, cod)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_images(self, images)
+        _set_hash(self, hash((cod, images)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -108,6 +118,14 @@ class MonotoneMap:
         return f"MonotoneMap({self.dom}->{self.cod}; {imgs})"
 
 
+# The slot setters, past the frozen guard: only the check above stores
+# through them.
+_set_dom = MonotoneMap.dom.__set__
+_set_cod = MonotoneMap.cod.__set__
+_set_images = MonotoneMap.images.__set__
+_set_hash = MonotoneMap._hash.__set__
+
+
 def _check_images(images: tuple[int, ...], cod: int) -> None:
     # the rejecting half of MonotoneMap's check, for its messages
     prev = 0
@@ -134,7 +152,8 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
         return g
     if g is _identity_map(g.dom):
         return f
-    return MonotoneMap(f.dom, g.cod, tuple(g.images[v] for v in f.images))
+    images = g.images
+    return MonotoneMap(f.dom, g.cod, [images[v] for v in f.images])
 
 
 @bounded_cache
@@ -185,8 +204,7 @@ def epi_mono_factorize(phi: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
     """Split phi into a surjection onto its image followed by an injection."""
     distinct = sorted(set(phi.images))
     rank = {value: k for k, value in enumerate(distinct)}
-    surj = MonotoneMap(phi.dom, len(distinct),
-                       tuple(rank[v] for v in phi.images))
+    surj = MonotoneMap(phi.dom, len(distinct), [rank[v] for v in phi.images])
     inj = MonotoneMap(len(distinct), phi.cod, tuple(distinct))
     return surj, inj
 

@@ -13,11 +13,15 @@ validate_rbf checks the mirror with validate_lbf, rbf_to_lbf is the
 opposite of the mirror, the meet is the opposite of the join of the
 opposites, and base_change_inj mirrors base_change_surj along the
 reflected right adjoint.  validate_lbf and lbf_to_rbf take one pass with
-a stack each, O(m).  lbf_to_rbf, the conjugations and opposites are
-memoized under the package's bounded cache policy
-(ordmaps.bounded_cache), so dual and is_swell share one mirrored lbf
-per bracketing; the changes of base, which only the factorizations
-call, are not; the lattices listed by enumerate_tamari are kept whole.
+a stack each, O(m); tamari_opposite runs the scan of lbf_to_rbf on the
+values (_rbf_values) and builds only the opposite Lbf, so one check
+runs.  Lbf and Rbf are built like ordmaps.MonotoneMap: __init__ hands
+the values to __post_init__, which checks and stores them.  lbf_to_rbf,
+the conjugations and opposites are memoized under the package's bounded
+cache policy (ordmaps.bounded_cache), so dual and is_swell share one
+mirrored lbf per bracketing; the changes of base, which only the
+factorizations call, are not; the lattices listed by enumerate_tamari
+are kept whole.
 """
 
 from __future__ import annotations
@@ -74,18 +78,21 @@ def _mirror(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(map((len(values) - 1).__sub__, reversed(values)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Lbf:
     """A left bracketing function; an element of the Tamari lattice."""
 
     values: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not validate_lbf(self.values):
-            raise InputError(f"not a left bracketing function: {self.values}")
-        object.__setattr__(self, "_hash", hash(("lbf", self.values)))
+    def __init__(self, values: Sequence[int]) -> None:
+        self.__post_init__(tuple(values))
+
+    def __post_init__(self, values: tuple[int, ...]) -> None:
+        if not validate_lbf(values):
+            raise InputError(f"not a left bracketing function: {values}")
+        _set_lbf_values(self, values)
+        _set_lbf_hash(self, hash(("lbf", values)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -101,18 +108,21 @@ class Lbf:
         return f"Lbf({','.join(str(v) for v in self.values)})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rbf:
     """A right bracketing function, the mirror-image encoding."""
 
     values: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not validate_rbf(self.values):
-            raise InputError(f"not a right bracketing function: {self.values}")
-        object.__setattr__(self, "_hash", hash(("rbf", self.values)))
+    def __init__(self, values: Sequence[int]) -> None:
+        self.__post_init__(tuple(values))
+
+    def __post_init__(self, values: tuple[int, ...]) -> None:
+        if not validate_rbf(values):
+            raise InputError(f"not a right bracketing function: {values}")
+        _set_rbf_values(self, values)
+        _set_rbf_hash(self, hash(("rbf", values)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -128,6 +138,14 @@ class Rbf:
         return f"Rbf({','.join(str(v) for v in self.values)})"
 
 
+# The slot setters, past the frozen guard: only the checks above store
+# through them.
+_set_lbf_values = Lbf.values.__set__
+_set_lbf_hash = Lbf._hash.__set__
+_set_rbf_values = Rbf.values.__set__
+_set_rbf_hash = Rbf._hash.__set__
+
+
 @bounded_cache
 def lbf_to_rbf(lbf: Lbf) -> Rbf:
     """The rbf determined by an lbf: r(i) = min{j : l(j) < i <= j}.
@@ -138,7 +156,12 @@ def lbf_to_rbf(lbf: Lbf) -> Rbf:
     One pass: a stack holds the positions i <= j not closed yet, and
     l(j) closes those above it; position 0 never closes.
     """
-    l, m = lbf.values, lbf.m
+    return Rbf(_rbf_values(lbf.values))
+
+
+def _rbf_values(l: tuple[int, ...]) -> list[int]:
+    # the scan of lbf_to_rbf on a valid lbf's values, building no value
+    m = len(l)
     r = [m - 1] * m
     r[0] = 0
     unclosed = [0]
@@ -146,7 +169,7 @@ def lbf_to_rbf(lbf: Lbf) -> Rbf:
         unclosed.append(j)
         while unclosed[-1] > l[j]:
             r[unclosed.pop()] = j
-    return Rbf(tuple(r))
+    return r
 
 
 def rbf_to_lbf(rbf: Rbf) -> Lbf:
@@ -161,8 +184,11 @@ def rbf_to_lbf(rbf: Rbf) -> Lbf:
 
 @bounded_cache
 def tamari_opposite(lbf: Lbf) -> Lbf:
-    """The same bracketing read on the reversed ordinal (an involution)."""
-    return Lbf(_mirror(lbf_to_rbf(lbf).values))
+    """The same bracketing read on the reversed ordinal (an involution).
+
+    The mirror of the rbf, scanned without building the Rbf, so the one
+    check is the opposite's own."""
+    return Lbf(_mirror(_rbf_values(lbf.values)))
 
 
 def tamari_leq(s: Lbf, t: Lbf) -> bool:
@@ -281,8 +307,8 @@ def conjugate_surj(sigma: MonotoneMap, s: Lbf) -> Lbf:
         raise InputError(f"{sigma!r} is not surjective")
     if s.m != sigma.dom:
         raise InputError(f"lbf lives on ord {s.m}, expected ord {sigma.dom}")
-    star = right_adjoint(sigma)
-    return Lbf(tuple(sigma(s(star(j))) for j in range(sigma.cod)))
+    images, values = sigma.images, s.values
+    return Lbf([images[values[j]] for j in right_adjoint(sigma).images])
 
 
 @bounded_cache
@@ -299,9 +325,7 @@ def conjugate_inj(delta: MonotoneMap, s: Lbf) -> Lbf:
         raise InputError(f"{delta!r} does not preserve bottom")
     if s.m != delta.cod:
         raise InputError(f"lbf lives on ord {s.m}, expected ord {delta.cod}")
-    star = right_adjoint(delta)
-    r_s = lbf_to_rbf(s)
+    star, r_s = right_adjoint(delta).images, lbf_to_rbf(s).values
     # rbf_to_lbf without building the Rbf: the Lbf of the mirror runs
     # the same check once
-    return tamari_opposite(Lbf(_mirror(
-        tuple(star(r_s(delta(j))) for j in range(delta.dom)))))
+    return tamari_opposite(Lbf(_mirror([star[r_s[j]] for j in delta.images])))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -151,6 +152,91 @@ class TestLeanValues:
         assert lambda_.__wrapped__(a).map is lambda_.__wrapped__(a).map
         assert rho.__wrapped__(a).map is rho.__wrapped__(a).map
 
+
+
+# Each value class, built by its public constructor and by an internal
+# path that must give the same value: a list comprehension into the
+# constructor, a kernel on values, or fsk._proved.
+BUILT_TWO_WAYS = {
+    "MonotoneMap": (lambda: MonotoneMap(3, 3, (0, 0, 2)),
+                    lambda: ordmaps.compose(MonotoneMap(2, 3, (0, 2)),
+                                            MonotoneMap(3, 2, (0, 0, 1)))),
+    "Lbf": (lambda: Lbf((0, 1, 2)), lambda: tamari.tamari_opposite(Lbf((0, 0, 2)))),
+    "Rbf": (lambda: Rbf((0, 2, 2)), lambda: tamari.lbf_to_rbf(Lbf((0, 1, 2)))),
+    "FskObject": (lambda: FskObject(2, (0,), Lbf((0, 1))), lambda: tensor(X, I)),
+    "FskMorphism": (lambda: FskMorphism(X, X, MonotoneMap.identity(1)),
+                    lambda: identity(X)),
+}
+
+# dataclasses.fields() names and __match_args__ of each value class
+FIELDS = {
+    "MonotoneMap": (("dom", "cod", "images", "_hash"), ("dom", "cod", "images")),
+    "Lbf": (("values", "_hash"), ("values",)),
+    "Rbf": (("values", "_hash"), ("values",)),
+    "FskObject": (("m", "u", "s", "_hash"), ("m", "u", "s")),
+    "FskMorphism": (("src", "dst", "map"), ("src", "dst", "map")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_TWO_WAYS))
+class TestValueContract:
+    def test_fields_are_frozen(self, name):
+        for value in (make() for make in BUILT_TWO_WAYS[name]):
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, f.name)
+
+    def test_fields_and_match_args(self, name):
+        public, internal = (make() for make in BUILT_TWO_WAYS[name])
+        assert type(public) is type(internal) and type(public).__name__ == name
+        names, match_args = FIELDS[name]
+        assert tuple(f.name for f in dataclasses.fields(public)) == names
+        assert type(public).__match_args__ == match_args
+
+    def test_internal_path_builds_the_same_value(self, name):
+        public, internal = (make() for make in BUILT_TWO_WAYS[name])
+        assert public == internal and hash(public) == hash(internal)
+        assert repr(public) == repr(internal)
+
+    def test_one_check_per_value(self, name, monkeypatch):
+        # the bench counts values built by wrapping __post_init__, so each
+        # public construction must run it exactly once
+        cls = type(BUILT_TWO_WAYS[name][0]())
+        calls = []
+        check = cls.__post_init__
+
+        def counted(self, *args):
+            calls.append(name)
+            return check(self, *args)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        BUILT_TWO_WAYS[name][0]()
+        assert len(calls) == 1
+
+
+def test_proved_morphisms_skip_the_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(FskMorphism, "__post_init__", lambda self: calls.append(1))
+    f = identity(tensor(X, I))
+    assert f.map is MonotoneMap.identity(2) and calls == []
+
+
+def test_tensor_miss_checks_one_object(monkeypatch):
+    a, b = obj(3, (1,), (0, 0, 2)), obj(2, (0, 1), (0, 1))
+    fsk._tensor_objects.cache_clear()
+    calls = []
+    check = FskObject.__post_init__
+
+    def counted(self, *args):
+        calls.append(args)
+        return check(self, *args)
+
+    monkeypatch.setattr(FskObject, "__post_init__", counted)
+    ab = fsk._tensor_objects(a, b)
+    assert calls == [(5, (1, 3, 4), Lbf((0, 0, 0, 3, 4)))]
+    assert fsk._tensor_objects(a, b) is ab and len(calls) == 1
 
 class TestSharedValues:
     """Values that depend only on shape are built and checked once and

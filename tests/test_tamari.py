@@ -34,6 +34,7 @@ from oracles import (
     brute_join,
     brute_lbfs,
     brute_meet,
+    brute_right_adjoint,
     lbf_to_rbf_loop,
     mirror_lbf_values,
     mirror_rbf_values,
@@ -297,6 +298,19 @@ class TestConjugation:
                 for sigma in all_surjections(m, n):
                     for s in enumerate_tamari(m):
                         conjugate_surj(sigma, s)
+
+    def test_surj_matches_adjoint_oracle(self):
+        # the value, not only its validity: sigma . l_S . sigma* pointwise,
+        # with sigma* from the scan over every i
+        for m in range(1, 7):
+            for n in range(1, m + 1):
+                for sigma in all_surjections(m, n):
+                    star = brute_right_adjoint(sigma).images
+                    for s in enumerate_tamari(m):
+                        expected = tuple(sigma.images[s.values[star[j]]]
+                                         for j in range(n))
+                        assert conjugate_surj(sigma, s).values == expected, \
+                            (sigma, s)
 
     def test_inj_examples(self):
         s = Lbf((0, 1, 0, 3))
