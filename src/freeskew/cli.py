@@ -43,12 +43,17 @@ from .words import (
 
 # Size limits, so that no input asks for unbounded work: Catalan(13) =
 # 742,900 lbfs; the axiom sweep the acceptance suite runs; hom-sets with
-# at most 100,000 candidate maps (hom_candidate_count), a bound on the
-# morphisms the pruned search lists; and operad words as long as the
-# 1,501-letter combs the deep-word tests run.
+# at most 100,000 candidate maps (hom_candidate_count), and at most
+# 2,000,000 candidates times letters of both words.  The pruned search
+# is not output-sensitive: each prefix it enters extends a candidate,
+# so the candidates times the letters bound the prefixes it enters, the
+# leaves it proves and the text it prints; the morphisms it lists do
+# not.  Operad words may be as long as the 1,501-letter combs the
+# deep-word tests run.
 MAX_TAMARI_ENUM = 14
 MAX_AXIOM_LEAVES = 8
 MAX_HOM_CANDIDATES = 100_000
+MAX_HOM_WORK = 2_000_000
 MAX_OPERAD_ARITY = 1500
 
 
@@ -114,6 +119,11 @@ def _cmd_hom(args) -> int:
     if count > MAX_HOM_CANDIDATES:
         raise InputError(f"hom has {count} candidate maps, "
                          f"more than {MAX_HOM_CANDIDATES}")
+    letters = src.m + dst.m
+    if count * letters > MAX_HOM_WORK:
+        raise InputError(f"hom has {count} candidate maps on {letters} "
+                         f"letters, {count * letters} in all, "
+                         f"more than {MAX_HOM_WORK}")
     morphisms = hom(src, dst)
     if args.json:
         print(dump_json([morphism_to_json(f) for f in morphisms]))

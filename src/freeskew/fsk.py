@@ -204,30 +204,43 @@ def _bij_ok(phi: MonotoneMap, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
     return True
 
 
+def _scan_close(stack: tuple, level: int, opens: int,
+                r_t: tuple[int, ...]) -> tuple | None:
+    # One step of the bracket scan: a fibre ends at the image `level`
+    # and its source block opens at the image `opens`.  The stack holds
+    # the occupied levels no block has closed yet, in increasing order,
+    # as immutable cells (level, least r_T over this cell and the ones
+    # below, rest) over a sentinel (0, t.m, None) that never pops; cells
+    # are shared, never changed.  The step pushes level, then closes the
+    # levels above opens, on top; None when one closes past r_T.
+    if level:
+        stack = (level, min(stack[1], r_t[level]), stack)
+    while stack[0] > opens:
+        if level > r_t[stack[0]]:
+            return None
+        stack = stack[2]
+    return stack
+
+
 def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # At each occupied level h of the image, the surviving source blocks
     # whose bracket opens strictly below h first close at the lowest
     # level images[k] with k last in its fibre, images[k] >= h and
     # images[s(k)] < h, with the top image as fallback; that close must
     # come no later than the target's closing bound r_T(h).
-    # One pass over the fibres in increasing level: a stack holds the
-    # occupied levels no block has closed yet, in increasing order, so
-    # the block (level, opens) closes the ones above opens, on top.
+    # One pass over the fibres in increasing level, a _scan_close step
+    # for each; the levels still pending close at the top image.
     images, svalues = phi.images, s.values
     r_t = lbf_to_rbf(t).values
     m = len(images)
-    pending: list[int] = []
+    stack = (0, len(r_t), None)
     for k, level in enumerate(images):
         if k < m - 1 and level == images[k + 1]:
             continue
-        if level:
-            pending.append(level)
-        opens = images[svalues[k]]
-        while pending and pending[-1] > opens:
-            if level > r_t[pending.pop()]:
-                return False
-    top = images[m - 1]
-    return all(top <= r_t[h] for h in pending)
+        stack = _scan_close(stack, level, images[svalues[k]], r_t)
+        if stack is None:
+            return False
+    return stack[1] >= images[m - 1]
 
 
 def _bracket_factor_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
@@ -609,14 +622,20 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     the positions 1..a.m-1 in order, each within its run of _hom_blocks
     and at or above the previous image, and carries the scan of
     _bracket_direct_ok along: once image j passes image j-1, position
-    j-1 is last in its fibre and enters the scan's stack of pending
-    levels.  A prefix is dropped when the scan fails, or when a pending
-    level h has r_T(h) below the current image, since every later image
-    is at least as high.  Each leaf is kept if the "direct" bracket
-    condition holds; that one check is its whole proof, so the listed
-    morphisms are not proved again.  The search is iterative, with an
-    undo trail for the stack, so deep words do not reach the recursion
-    limit.
+    j-1 is last in its fibre and takes its _scan_close step.  A prefix
+    is dropped when the step fails, or when a pending level h has r_T(h)
+    below the current image, since every later image is at least as
+    high.  Each leaf is kept if the "direct" bracket condition holds;
+    that one check is its whole proof, so the listed morphisms are not
+    proved again.  The scan's stacks are immutable and shared, so
+    backtracking only moves back a position, and the search is
+    iterative, so deep words do not reach the recursion limit.
+
+    The search is not output-sensitive: on the pairs measured its leaves
+    are morphisms, but a prefix can still lead to none.  Each prefix it
+    enters extends to a candidate, so it enters at most
+    (a.m - 1) * hom_candidate_count(a, b) prefixes; that count, not the
+    output, bounds the work.
     """
     blocks = _hom_blocks(a, b)
     if blocks is None:
@@ -628,14 +647,11 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     m, svalues = a.m, a.s.values
     r_t = lbf_to_rbf(b.s).values
     images = [0] * m
-    # pending holds the scan's levels above a sentinel 0 that never pops;
-    # lows[i] is the least r_T over pending[1:i + 1], above a sentinel
-    # b.m that no image reaches
-    pending, lows = [0], [b.m]
-    trail: list[int] = []  # the levels popped from pending, to restore
-    # marks[j]: the trail length before position j-1 was scanned, or -1
-    # while image j still equals image j-1 and it has not been
-    marks = [-1] * m
+    # stacks[j]: the scan once images[:j] are fixed; closed[j]: stacks[j]
+    # after position j-1 ends its fibre, None until the first image above
+    # images[j-1] asks for it, False if that step fails
+    stacks = [(0, b.m, None)] * m
+    closed = [None] * m
     nexts = list(los)  # nexts[j]: the next image to try at position j
     out = []
     j = 1
@@ -647,42 +663,21 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
             j -= 1
             continue
         v, prev = nexts[j], images[j - 1]
-        alive = v < his[j]
-        if alive and v > prev and marks[j] < 0:
-            # the first image above prev: position j-1 closes its fibre
-            marks[j] = len(trail)
-            if prev:
-                pending.append(prev)
-                lows.append(min(lows[-1], r_t[prev]))
-            opens = images[svalues[j - 1]]
-            while pending[-1] > opens:
-                h = pending.pop()
-                lows.pop()
-                trail.append(h)
-                if prev > r_t[h]:
-                    alive = False
-                    break
-        if alive and lows[-1] < v:
-            alive = False
-        if not alive:
-            mark = marks[j]
-            if mark >= 0:
-                # undo the scan of position j-1: put back what it popped,
-                # then take off what it pushed
-                for h in reversed(trail[mark:]):
-                    pending.append(h)
-                    lows.append(min(lows[-1], r_t[h]))
-                del trail[mark:]
-                if prev:
-                    pending.pop()
-                    lows.pop()
-                marks[j] = -1
+        stack = stacks[j] if v < his[j] else False
+        if stack and v > prev:
+            if closed[j] is None:
+                closed[j] = _scan_close(stack, prev, images[svalues[j - 1]],
+                                        r_t) or False
+            stack = closed[j]
+        if not stack or stack[1] < v:
             j -= 1
             continue
         images[j] = v
         nexts[j] = v + 1
         j += 1
         if j < m:
+            stacks[j] = stack
+            closed[j] = None
             nexts[j] = max(los[j], v)
     return out
 

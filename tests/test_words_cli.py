@@ -355,9 +355,14 @@ class TestCli:
             raise AssertionError("enumerated past the cap")
         monkeypatch.setattr(cli, "hom", refuse)
         units = "(" * 39 + "I" + " I)" * 39  # C(78, 39) candidate maps
-        code, out, err = run(capsys, "hom", units, units)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and str(cli.MAX_HOM_CANDIDATES) in err
+        # 10,626 candidate maps between words of 805 and 820 letters
+        short = "(I " * 5 + "(X " * 799 + "X" + ")" * 804
+        long = "(I " * 20 + "(X " * 799 + "X" + ")" * 819
+        for src, dst, cap in [(units, units, cli.MAX_HOM_CANDIDATES),
+                              (short, long, cli.MAX_HOM_WORK)]:
+            code, out, err = run(capsys, "hom", src, dst)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and str(cap) in err
 
     def test_operad_arity_cap(self, capsys, monkeypatch):
         def refuse(*args):
