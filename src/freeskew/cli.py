@@ -3,12 +3,15 @@
 Exit codes: 0 for success (including true verdicts), 1 for usage or
 parse errors, 2 for well-formed queries whose answer is negative (for
 example `check` on a map that is not a morphism), 3 when a contract
-check inside the library fails (a fault in freeskew, not in the input).
+check inside the library fails (a fault in freeskew, not in the input),
+141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
+reader of stdout closes it early, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .ordmaps import InputError
@@ -339,7 +342,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null
+        # device, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -21,12 +21,12 @@ constructions below build through _proved, which stores the fields
 through the same slot setters and skips the proof, only where
 membership is already decided: hom-sets pin every generator to its
 image and search only the units between the pins, pruned by the scan
-of the bracket condition, so each leaf they reach needs that condition
-alone; identities, the associator (a rebracketing), lambda_ and rho after
-is_shrink and is_swell, the parts of the factorizations after their
-class checks; and composites, tensors and duals of morphisms, which the
-paper's theorems make morphisms again (tests/test_fsk.py checks that
-closure exhaustively on small objects).  Tensors of objects, lambda_ and
+of the bracket condition, so each leaf they reach needs only the last
+step of that scan; identities, the associator (a rebracketing),
+lambda_ and rho after is_shrink and is_swell, the parts of the
+factorizations after their class checks; and composites, tensors and
+duals of morphisms, which the paper's theorems make morphisms again
+(tests/test_fsk.py checks that closure exhaustively on small objects).  Tensors of objects, lambda_ and
 rho sit under the bounded cache policy, and a miss runs every check
 again; identities and alpha are built on each call.  Values that depend
 only on shape are shared, one checked instance each: the bracketing of
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
-from operator import lt
+from operator import le, lt
 from typing import Sequence
 
 from .ordmaps import (
@@ -56,6 +56,7 @@ from .ordmaps import (
 from . import ordmaps
 from .tamari import (
     Lbf,
+    _rbf_values,
     base_change_inj,
     base_change_surj,
     conjugate_inj,
@@ -189,7 +190,7 @@ class MorphismClass:
 # ---------------------------------------------------------------------------
 
 
-def _bij_ok(phi: MonotoneMap, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+def _bij_ok(phi: MonotoneMap, u: Sequence[int], v: Sequence[int]) -> bool:
     # The map and its right adjoint must restrict to inverse bijections
     # u <-> v.  Both are strictly increasing and the map is monotone, so
     # that holds exactly when they have one length and the map sends
@@ -222,6 +223,15 @@ def _scan_close(stack: tuple, level: int, opens: int,
     return stack
 
 
+def _scan_end(stack: tuple, level: int, opens: int,
+              r_t: tuple[int, ...]) -> bool:
+    # The last step of the bracket scan: the last fibre ends at the top
+    # image `level` and takes its _scan_close step, and the levels still
+    # pending then close at the top image, within r_T of each.
+    stack = _scan_close(stack, level, opens, r_t)
+    return stack is not None and stack[1] >= level
+
+
 def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # At each occupied level h of the image, the surviving source blocks
     # whose bracket opens strictly below h first close at the lowest
@@ -229,18 +239,18 @@ def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # images[s(k)] < h, with the top image as fallback; that close must
     # come no later than the target's closing bound r_T(h).
     # One pass over the fibres in increasing level, a _scan_close step
-    # for each; the levels still pending close at the top image.
+    # for each, the last one in _scan_end.
     images, svalues = phi.images, s.values
     r_t = lbf_to_rbf(t).values
-    m = len(images)
+    last = len(images) - 1
     stack = (0, len(r_t), None)
-    for k, level in enumerate(images):
-        if k < m - 1 and level == images[k + 1]:
-            continue
-        stack = _scan_close(stack, level, images[svalues[k]], r_t)
-        if stack is None:
-            return False
-    return stack[1] >= images[m - 1]
+    for k in range(last):
+        level = images[k]
+        if level != images[k + 1]:
+            stack = _scan_close(stack, level, images[svalues[k]], r_t)
+            if stack is None:
+                return False
+    return _scan_end(stack, images[last], images[svalues[last]], r_t)
 
 
 def _bracket_factor_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
@@ -265,7 +275,7 @@ def _bracket_search_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # A leaf is returned only after the explicit test.
     sigma, delta = epi_mono_factorize(phi)
     conj = conjugate_surj(sigma, s)
-    bound = lbf_to_rbf(conjugate_inj(delta, t)).values
+    bound = _rbf_values(conjugate_inj(delta, t).values)
     k = delta.dom
     due = [0] * k  # due[j]: positions i >= 1 that must close by entry j
     for i in range(1, k):
@@ -287,9 +297,8 @@ def _bracket_search_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
             values[j] = v
             if j == k - 1:
                 middle = Lbf(tuple(values))
-                r_middle = lbf_to_rbf(middle)
                 if (tamari_leq(conj, middle)
-                        and all(r_middle(i) <= bound[i] for i in range(k))):
+                        and all(map(le, _rbf_values(middle.values), bound))):
                     return True
                 continue
             still_open = open_ & ((2 << v) - 1)
@@ -355,15 +364,22 @@ def is_shrink(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> bool:
     bracketing exactly onto the target one, and collapsed positions open
     their bracket inside the collapsed block."""
     _check_fits(src, dst, sigma)
+    return _shrink_ok(sigma, src.u, src.s, dst.u, dst.s)
+
+
+def _shrink_ok(sigma: MonotoneMap, src_u: Sequence[int], src_s: Lbf,
+               dst_u: Sequence[int], dst_s: Lbf) -> bool:
+    # is_shrink on the parts of its two objects, so that is_swell can
+    # ask it of the reversed objects without building them
     if not sigma.is_surjective:
         return False
-    if not _bij_ok(sigma, src.u, dst.u):
+    if not _bij_ok(sigma, src_u, dst_u):
         return False
-    if conjugate_surj(sigma, src.s) != dst.s:
+    if conjugate_surj(sigma, src_s) != dst_s:
         return False
     # j < sigma*(sigma(j)) says exactly that j is not last in its fibre
-    images, svalues = sigma.images, src.s.values
-    for j in range(src.m - 1):
+    images, svalues = sigma.images, src_s.values
+    for j in range(len(images) - 1):
         if images[j] == images[j + 1] and images[svalues[j]] != images[j]:
             return False
     return True
@@ -375,7 +391,8 @@ def is_swell(src: FskObject, dst: FskObject, delta: MonotoneMap) -> bool:
     _check_fits(src, dst, delta)
     if not delta.preserves_bottom:
         return False
-    return is_shrink(dual(dst), dual(src), _dual_map(delta))
+    return _shrink_ok(_dual_map(delta), _dual_u(dst), tamari_opposite(dst.s),
+                      _dual_u(src), tamari_opposite(src.s))
 
 
 def is_fsk_surjection(src: FskObject, dst: FskObject, sigma: MonotoneMap) -> bool:
@@ -625,11 +642,14 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     j-1 is last in its fibre and takes its _scan_close step.  A prefix
     is dropped when the step fails, or when a pending level h has r_T(h)
     below the current image, since every later image is at least as
-    high.  Each leaf is kept if the "direct" bracket condition holds;
-    that one check is its whole proof, so the listed morphisms are not
-    proved again.  The scan's stacks are immutable and shared, so
-    backtracking only moves back a position, and the search is
-    iterative, so deep words do not reach the recursion limit.
+    high.  A leaf takes the last step of the scan the search holds
+    (_scan_end, the step _bracket_direct_ok ends with), so each leaf
+    gets the whole direct check, every step once and in the same order,
+    and is kept if it passes; that one check is its whole proof, so the
+    listed morphisms are not proved again.  The scan's stacks are
+    immutable and shared, so backtracking only moves back a position,
+    and the search is iterative, so deep words do not reach the
+    recursion limit.
 
     The search is not output-sensitive: on the pairs measured its leaves
     are morphisms, but a prefix can still lead to none.  Each prefix it
@@ -654,12 +674,13 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     closed = [None] * m
     nexts = list(los)  # nexts[j]: the next image to try at position j
     out = []
+    # stack: the scan for the position being filled, held into the leaf
+    stack = stacks[0]
     j = 1
     while j:
         if j == m:
-            phi = MonotoneMap(m, b.m, tuple(images))
-            if _bracket_direct_ok(phi, a.s, b.s):
-                out.append(_proved(a, b, phi))
+            if _scan_end(stack, images[m - 1], images[svalues[m - 1]], r_t):
+                out.append(_proved(a, b, MonotoneMap(m, b.m, tuple(images))))
             j -= 1
             continue
         v, prev = nexts[j], images[j - 1]
@@ -706,12 +727,17 @@ def dual(x):
     a morphism is a morphism, so it is not proved again.
     """
     if isinstance(x, FskObject):
-        top = x.m - 1
-        return FskObject(x.m, [top - j for j in reversed(x.u)],
-                         tamari_opposite(x.s))
+        return FskObject(x.m, _dual_u(x), tamari_opposite(x.s))
     if isinstance(x, FskMorphism):
         return _proved(dual(x.dst), dual(x.src), _dual_map(x.map))
     raise InputError("dual needs an object or a morphism")
+
+
+def _dual_u(x: FskObject) -> list[int]:
+    # the generator positions of dual(x): reflected, and read in reverse
+    # so that they increase
+    top = x.m - 1
+    return [top - j for j in reversed(x.u)]
 
 
 # ---------------------------------------------------------------------------

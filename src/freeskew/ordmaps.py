@@ -18,7 +18,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import le
+from itertools import accumulate
+from operator import le, ne
 from typing import Sequence
 
 # The one policy for caches keyed by values: membership proofs and
@@ -202,10 +203,13 @@ def _dual_map(phi: MonotoneMap) -> MonotoneMap:
 
 def epi_mono_factorize(phi: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
     """Split phi into a surjection onto its image followed by an injection."""
-    distinct = sorted(set(phi.images))
-    rank = {value: k for k, value in enumerate(distinct)}
-    surj = MonotoneMap(phi.dom, len(distinct), [rank[v] for v in phi.images])
-    inj = MonotoneMap(len(distinct), phi.cod, tuple(distinct))
+    # the images increase weakly, so the image is their distinct values in
+    # order, and each rank counts the steps up to its position
+    images = phi.images
+    distinct = tuple(dict.fromkeys(images))
+    surj = MonotoneMap(phi.dom, len(distinct),
+                       accumulate(map(ne, images[1:], images), initial=0))
+    inj = MonotoneMap(len(distinct), phi.cod, distinct)
     return surj, inj
 
 

@@ -15,8 +15,11 @@ opposites, and base_change_inj mirrors base_change_surj along the
 reflected right adjoint.  validate_lbf and lbf_to_rbf take one pass with
 a stack each, O(m); tamari_opposite runs the scan of lbf_to_rbf on the
 values (_rbf_values) and builds only the opposite Lbf, so one check
-runs.  Lbf and Rbf are built like ordmaps.MonotoneMap: __init__ hands
-the values to __post_init__, which checks and stores them.  lbf_to_rbf,
+runs.  Code that only reads values calls the tuple kernels, not the
+checked values: the conjugations read ordmaps._radj, and the word
+writer and the middle-bracketing search read _rbf_values.  Lbf and Rbf
+are built like ordmaps.MonotoneMap: __init__ hands the values to
+__post_init__, which checks and stores them.  lbf_to_rbf,
 the conjugations and opposites are memoized under the package's bounded
 cache policy (ordmaps.bounded_cache), so dual and is_swell share one
 mirrored lbf per bracketing; the changes of base, which only the
@@ -31,7 +34,14 @@ from functools import lru_cache
 from operator import le
 from typing import Iterator, Sequence
 
-from .ordmaps import InputError, MonotoneMap, _dual_map, bounded_cache, right_adjoint
+from .ordmaps import (
+    InputError,
+    MonotoneMap,
+    _dual_map,
+    _radj,
+    bounded_cache,
+    right_adjoint,
+)
 
 
 def validate_lbf(values: Sequence[int]) -> bool:
@@ -307,8 +317,9 @@ def conjugate_surj(sigma: MonotoneMap, s: Lbf) -> Lbf:
         raise InputError(f"{sigma!r} is not surjective")
     if s.m != sigma.dom:
         raise InputError(f"lbf lives on ord {s.m}, expected ord {sigma.dom}")
+    # a surjection preserves bottom, so its right adjoint exists
     images, values = sigma.images, s.values
-    return Lbf([images[values[j]] for j in right_adjoint(sigma).images])
+    return Lbf([images[values[j]] for j in _radj(images, sigma.cod)])
 
 
 @bounded_cache
@@ -325,7 +336,7 @@ def conjugate_inj(delta: MonotoneMap, s: Lbf) -> Lbf:
         raise InputError(f"{delta!r} does not preserve bottom")
     if s.m != delta.cod:
         raise InputError(f"lbf lives on ord {s.m}, expected ord {delta.cod}")
-    star, r_s = right_adjoint(delta).images, lbf_to_rbf(s).values
+    star, r_s = _radj(delta.images, delta.cod), lbf_to_rbf(s).values
     # rbf_to_lbf without building the Rbf: the Lbf of the mirror runs
     # the same check once
     return tamari_opposite(Lbf(_mirror([star[r_s[j]] for j in delta.images])))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence, Union
 
 from .ordmaps import InputError, MonotoneMap, bounded_cache
-from .tamari import Lbf, lbf_to_rbf
+from .tamari import Lbf, _rbf_values, lbf_to_rbf
 from .fsk import FskMorphism, FskObject
 
 
@@ -163,13 +163,21 @@ def format_object(obj: FskObject) -> str:
 
     A pair opens before letter a once for every j < m-1 with S(j) = a,
     and closes after letter b once for every i >= 1 with r_S(i) = b.
+    Both counts are read off the values in one pass each, with no
+    checked Rbf built, so a word of any depth is written in linear time.
     Cached, so that the morphisms of a hom-set, which share both ends,
     format each end once.
     """
-    openings = Counter(obj.s.values[:-1])
-    closings = Counter(lbf_to_rbf(obj.s).values[1:])
-    return " ".join("(" * openings[i] + letter + ")" * closings[i]
-                    for i, letter in enumerate(_letters(obj)))
+    m, values = obj.m, obj.s.values
+    openings, closings, letters = [0] * m, [0] * m, ["I"] * m
+    for a in values[:-1]:
+        openings[a] += 1
+    for b in _rbf_values(values)[1:]:
+        closings[b] += 1
+    for j in obj.u:
+        letters[j] = "X"
+    return " ".join(["(" * o + letter + ")" * c
+                     for o, letter, c in zip(openings, letters, closings)])
 
 
 def parse_word(text: str) -> BracketTree:
@@ -185,10 +193,9 @@ def format_word(tree: BracketTree) -> str:
 def parse_values(text: str) -> tuple[int, ...]:
     """A comma-separated list of naturals, e.g. "0,1,0,3"."""
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError as exc:
         raise InputError(f"expected comma-separated naturals, got {text!r}") from exc
-    return values
 
 
 def parse_lbf(text: str) -> Lbf:
@@ -196,7 +203,7 @@ def parse_lbf(text: str) -> Lbf:
 
 
 def format_values(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def parse_map(text: str, cod: int) -> MonotoneMap:

@@ -5,6 +5,7 @@ Everything here recomputes expected values from first principles
 the code paths they are checking.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 
@@ -513,3 +514,32 @@ def generator_positions_loop_check(m, u):
         raise InputError(f"generator positions {u} outside ord {m}")
     if any(a >= b for a, b in zip(u, u[1:])):
         raise InputError(f"generator positions {u} not strictly increasing")
+
+
+# ---------------------------------------------------------------------------
+# writers and factorizations through checked values
+#
+# The library counts brackets in int lists and factorizes with builtins.
+# These are the versions they replaced, built from Counters, sets and
+# the checked Rbf.
+# ---------------------------------------------------------------------------
+
+
+def format_object_counter(obj):
+    """The text form of an object: a pair opens before letter a once for
+    every j < m-1 with S(j) = a, and closes after letter b once for
+    every i >= 1 with r_S(i) = b."""
+    openings = Counter(obj.s.values[:-1])
+    closings = Counter(lbf_to_rbf(obj.s).values[1:])
+    generators = set(obj.u)
+    return " ".join("(" * openings[i] + ("X" if i in generators else "I")
+                    + ")" * closings[i] for i in range(obj.m))
+
+
+def epi_mono_sorted(phi):
+    """The surjection onto the sorted distinct images, by rank, and the
+    inclusion of those images."""
+    distinct = sorted(set(phi.images))
+    rank = {value: k for k, value in enumerate(distinct)}
+    return (MonotoneMap(phi.dom, len(distinct), [rank[v] for v in phi.images]),
+            MonotoneMap(len(distinct), phi.cod, tuple(distinct)))

@@ -365,6 +365,30 @@ class TestDirectScan:
                                     == direct_min_ok(images, s.values, t.values)), \
                                 (images, s, t)
 
+    def test_one_step_per_fibre(self, monkeypatch):
+        # a pass takes one _scan_close step per fibre, the last one
+        # inside _scan_end; a fail stops at the step that fails
+        steps = []
+        scan_close = fsk._scan_close
+
+        def counted(*args):
+            steps.append(args[1])
+            return scan_close(*args)
+
+        monkeypatch.setattr(fsk, "_scan_close", counted)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for images in all_monotone_images(m, n):
+                    phi = MonotoneMap(m, n, images)
+                    fibres = sorted(set(images))
+                    for s in enumerate_tamari(m):
+                        for t in enumerate_tamari(n):
+                            steps.clear()
+                            if fsk._bracket_direct_ok(phi, s, t):
+                                assert steps == fibres, (images, s, t)
+                            else:
+                                assert steps == fibres[:len(steps)]
+
 
 class TestGeneratorCheck:
     def test_matches_adjoint_oracle(self):
@@ -777,10 +801,12 @@ class TestHom:
 
     def test_proves_each_listed_map_once(self, monkeypatch):
         # every leaf the search reaches is a morphism: it passes the
-        # bracket check, which is its whole proof; the unit combs have
-        # 48,620 pinned candidates for 82 morphisms, and the last pair
-        # 48,620 for 1, though the search enters 21,175 prefixes there
-        calls = {"_bracket_direct_ok": 0, "is_morphism": 0}
+        # last step of the scan the search holds (_scan_end), which
+        # completes the direct bracket check, its whole proof; the unit
+        # combs have 48,620 pinned candidates for 82 morphisms, and the
+        # last pair 48,620 for 1, though the search enters 21,175
+        # prefixes there
+        calls = {"_scan_end": 0, "_bracket_direct_ok": 0, "is_morphism": 0}
 
         def counted(name):
             check = getattr(fsk, name)
@@ -800,9 +826,12 @@ class TestHom:
                  "(((I ((I ((I I) ((I I) I))) (I (I X)))) I) X)", 48620, 1)]:
             a, b = parse_object(src), parse_object(dst)
             calls.update(dict.fromkeys(calls, 0))
-            assert len(hom(a, b)) == morphisms
-            assert calls == {"_bracket_direct_ok": morphisms, "is_morphism": 0}
+            listed = hom(a, b)
+            assert len(listed) == morphisms
+            assert calls == {"_scan_end": morphisms, "_bracket_direct_ok": 0,
+                             "is_morphism": 0}
             assert hom_candidate_count(a, b) == candidates
+            assert all(fsk._bracket_direct_ok(f.map, a.s, b.s) for f in listed)
 
     def test_candidate_count_is_a_product_of_blocks(self):
         # position 0 goes to 0, then one unit in [0, 2], two in (2, 4]

@@ -14,8 +14,10 @@ from freeskew.ordmaps import (
 
 from oracles import (
     all_bottom_maps,
+    all_monotone_images,
     brute_right_adjoint,
     brute_second_right_adjoint,
+    epi_mono_sorted,
 )
 
 
@@ -152,6 +154,14 @@ class TestEpiMonoFactorize:
     def test_identity(self):
         one = MonotoneMap.identity(4)
         assert epi_mono_factorize(one) == (one, one)
+
+    def test_matches_sorted_oracle(self):
+        # every monotone map with dom, cod <= 6
+        for dom in range(1, 7):
+            for cod in range(1, 7):
+                for images in all_monotone_images(dom, cod):
+                    phi = MonotoneMap(dom, cod, images)
+                    assert epi_mono_factorize(phi) == epi_mono_sorted(phi)
 
     @given(monotone_maps())
     def test_recomposes(self, phi):

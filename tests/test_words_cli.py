@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -26,7 +28,7 @@ from freeskew.words import (
 )
 from freeskew.cli import main
 
-from oracles import objects_up_to, tree_of_text, tree_text
+from oracles import format_object_counter, objects_up_to, tree_of_text, tree_text
 
 # the 1,501-leaf combs, nested 1,500 deep
 LEFT_COMB = "(" * 1500 + "X" + " X)" * 1500
@@ -82,6 +84,13 @@ class TestFormatWord:
         # compare text, not trees: dataclass == recurses on depth
         assert format_word(parse_word(text)) == text
         assert format_object(parse_object(text)) == text
+
+    def test_matches_counting_writer(self):
+        # every object with m <= 7, and the 1,501-letter combs
+        objs = objects_up_to(7) + [parse_object(LEFT_COMB),
+                                   parse_object(RIGHT_COMB)]
+        for a in objs:
+            assert format_object.__wrapped__(a) == format_object_counter(a)
 
 
 class TestTextAndJsonForms:
@@ -393,6 +402,27 @@ class TestCli:
         first = run(capsys, "hom", "((I X) X)", "(I (X X))")
         second = run(capsys, "hom", "((I X) X)", "(I (X X))")
         assert first == second
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered):
+        # the reader of stdout is gone before the first write: exit
+        # 128 + SIGPIPE, with no traceback and no "Exception ignored"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "freeskew.cli", "operad", "counit",
+                 "(I (X X))"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
 
 
 class TestBoundary:
