@@ -21,20 +21,24 @@ constructions below build through _proved, which stores the fields
 through the same slot setters and skips the proof, only where
 membership is already decided: hom-sets pin every generator to its
 image and search only the units between the pins, pruned by the scan
-of the bracket condition, so each leaf they reach needs only the last
-step of that scan; identities, the associator (a rebracketing),
-lambda_ and rho after is_shrink and is_swell, the parts of the
-factorizations after their class checks; and composites, tensors and
-duals of morphisms, which the paper's theorems make morphisms again
-(tests/test_fsk.py checks that closure exhaustively on small objects).  Tensors of objects, lambda_ and
-rho sit under the bounded cache policy, and a miss runs every check
-again; identities and alpha are built on each call.  Values that depend
-only on shape are shared, one checked instance each: the bracketing of
-a tensor is keyed by the two bracketings, the mirrored bracketing of
-dual by the bracketing, block sums and the maps of duals
-(ordmaps._dual_map, the reflected right adjoint) by their maps, and the
-identity, collapse and inclusion maps by size; a composite with a
-shared identity is the other map itself.
+of the bracket condition, so each leaf they reach is a morphism by
+construction and takes only the last step of that scan; identities,
+the associator (a rebracketing), lambda_ and rho after is_shrink and
+is_swell, the parts of the factorizations after their class checks;
+and composites, tensors and duals of morphisms, which the paper's
+theorems make morphisms again (tests/test_fsk.py checks that closure
+exhaustively on small objects).  Duality spares code: factor_injection
+is factor_surjection on the dual, as is_swell is the shrink check on the
+reversed objects; rho, is_fsk_injection and conjugate_inj keep kernels
+of their own, since the axiom, hom and criteria paths call them.
+Tensors of objects, lambda_ and rho sit under the bounded cache policy,
+and a miss runs every check again; identities and alpha are built on
+each call.  Values that depend only on shape are shared, one checked
+instance each: the bracketing of a tensor is keyed by the two
+bracketings, the mirrored bracketing of dual by the bracketing, block
+sums and the maps of duals (ordmaps._dual_map, the reflected right
+adjoint) by their maps, and the identity, collapse and inclusion maps
+by size; a composite with a shared identity is the other map itself.
 """
 
 from __future__ import annotations
@@ -57,16 +61,13 @@ from . import ordmaps
 from .tamari import (
     Lbf,
     _rbf_values,
-    base_change_inj,
     base_change_surj,
     conjugate_inj,
     conjugate_surj,
     enumerate_tamari,
     lbf_to_rbf,
-    rbf_to_lbf,
     tamari_join,
     tamari_leq,
-    tamari_meet,
     tamari_opposite,
 )
 
@@ -514,6 +515,7 @@ def lambda_(a: FskObject) -> FskMorphism:
     return _proved(src, a, sigma)
 
 
+# its own kernel: dual(lambda_(dual(a))) slows the axiom sweep (3 more objects)
 @bounded_cache
 def rho(a: FskObject) -> FskMorphism:
     """The right unit map a -> aI: adjoin a trailing unit."""
@@ -556,22 +558,16 @@ def factor_surjection(f: FskMorphism) -> tuple[FskObject, FskObject]:
 
 def factor_injection(f: FskMorphism) -> tuple[FskObject, FskObject]:
     """Both canonical middles of an injective morphism (mirror image of
-    factor_surjection: swell first / injection first)."""
+    factor_surjection: swell first / injection first).
+
+    dual makes f surjective and turns the Tamari order upside down, so
+    the two middles of dual(f), contract checks included, dualize to
+    those of f.
+    """
     if not is_fsk_injection(f.src, f.dst, f.map):
         raise InputError(f"{f!r} is not an Fsk-injection")
-    pushed = rbf_to_lbf(base_change_inj(f.map, lbf_to_rbf(f.src.s)))
-    min_middle = FskObject(f.dst.m, f.dst.u, tamari_meet(pushed, f.dst.s))
-    alt_middle = FskObject(f.src.m, f.src.u, conjugate_inj(f.map, f.dst.s))
-    if not is_swell(f.src, min_middle, f.map):
-        raise RuntimeError(f"bottom middle of {f!r} is not a swell target")
-    if compose(FskMorphism(min_middle, f.dst, MonotoneMap.identity(f.dst.m)),
-               _proved(f.src, min_middle, f.map)) != f:
-        raise RuntimeError(f"bottom middle of {f!r} does not recompose to it")
-    if compose(FskMorphism(alt_middle, f.dst, f.map),
-               FskMorphism(f.src, alt_middle, MonotoneMap.identity(f.src.m))
-               ) != f:
-        raise RuntimeError(f"restricted middle of {f!r} does not recompose to it")
-    return min_middle, alt_middle
+    max_middle, alt_middle = factor_surjection(dual(f))
+    return dual(max_middle), dual(alt_middle)
 
 
 def factor_general(f: FskMorphism) -> tuple[FskMorphism, FskObject, FskMorphism]:
@@ -651,9 +647,12 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     and the search is iterative, so deep words do not reach the
     recursion limit.
 
-    The search is not output-sensitive: on the pairs measured its leaves
-    are morphisms, but a prefix can still lead to none.  Each prefix it
-    enters extends to a candidate, so it enters at most
+    Every leaf is a morphism by construction: the prune has kept
+    stack[1] >= images[m-1] at position m-1, and the last step opens at
+    the top image itself, so it pops nothing and pushes r_T(top) >= top.
+    The leaf's _scan_end call stays as the explicit proof.  The search
+    is still not output-sensitive, since a prefix can lead to no leaf.
+    Each prefix it enters extends to a candidate, so it enters at most
     (a.m - 1) * hom_candidate_count(a, b) prefixes; that count, not the
     output, bounds the work.
     """

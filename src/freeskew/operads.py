@@ -17,12 +17,13 @@ from itertools import accumulate
 from typing import Sequence
 
 from .ordmaps import InputError, bounded_cache
-from .tamari import Lbf, tamari_bottom, tamari_top
+from .tamari import Lbf, tamari_bottom
 from .fsk import (
     FskMorphism,
     FskObject,
     GENERATOR,
     UNIT,
+    dual,
     hom,
     is_fsk_injection,
 )
@@ -154,10 +155,9 @@ def initial_in_grade(m: int) -> FskObject:
 
 
 def terminal_in_grade(m: int) -> FskObject:
-    """The terminal object among words of grade m: X ... X I bracketed right."""
-    if m < 0:
-        raise InputError("grade must be a natural number")
-    return FskObject(m + 1, tuple(range(m)), tamari_top(m + 1))
+    """The terminal object among words of grade m: X ... X I bracketed
+    right, the dual of the initial one."""
+    return dual(initial_in_grade(m))
 
 
 def h_of(x: LElement) -> FskObject:

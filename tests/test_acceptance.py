@@ -16,6 +16,7 @@ from freeskew.ordmaps import right_adjoint, second_right_adjoint
 from freeskew.tamari import (
     base_change_inj,
     base_change_surj,
+    conjugate_inj,
     conjugate_surj,
     enumerate_tamari,
     lbf_to_rbf,
@@ -280,6 +281,7 @@ def test_06_factorization_propositions():
                                             FskObject(m, u, s), delta)
                             min_middle, alt_middle = factor_injection(f)
                             assert min_middle.s == dropped
+                            assert alt_middle.s == conjugate_inj(delta, s)
                             injections += 1
     report(6, f"canonical factorizations re-validated for {surjections} "
               f"surjective and {injections} injective morphisms (m, n <= 5)")

@@ -913,7 +913,7 @@ class TestFactorInjection:
                             assert all(tamari_leq(bottom, s) for s in valid)
 
     def test_rejects_non_injection(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="Fsk-injection"):
             factor_injection(lambda_(X))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from freeskew import operads
 from freeskew.ordmaps import InputError
-from freeskew.tamari import Lbf
+from freeskew.tamari import Lbf, tamari_top
 from freeskew.fsk import (
     GENERATOR as X,
     FskObject,
@@ -205,6 +205,16 @@ class TestExtremalObjects:
         assert terminal_in_grade(1) == obj(2, (0,), (0, 1))
         assert initial_in_grade(0) == I
         assert terminal_in_grade(0) == I
+
+    def test_terminal_closed_form(self):
+        for m in range(40):
+            assert terminal_in_grade(m) == FskObject(m + 1, tuple(range(m)),
+                                                     tamari_top(m + 1))
+
+    def test_negative_grade(self):
+        for make in (initial_in_grade, terminal_in_grade):
+            with pytest.raises(InputError, match="natural number"):
+                make(-1)
 
     def test_universal_property_small(self):
         for a in objects_up_to(4):
