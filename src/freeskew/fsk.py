@@ -31,14 +31,16 @@ exhaustively on small objects).  Duality spares code: factor_injection
 is factor_surjection on the dual, as is_swell is the shrink check on the
 reversed objects; rho, is_fsk_injection and conjugate_inj keep kernels
 of their own, since the axiom, hom and criteria paths call them.
-Tensors of objects, lambda_ and rho sit under the bounded cache policy,
-and a miss runs every check again; identities and alpha are built on
-each call.  Values that depend only on shape are shared, one checked
-instance each: the bracketing of a tensor is keyed by the two
-bracketings, the mirrored bracketing of dual by the bracketing, block
-sums and the maps of duals (ordmaps._dual_map, the reflected right
-adjoint) by their maps, and the identity, collapse and inclusion maps
-by size; a composite with a shared identity is the other map itself.
+Tensors of objects, lambda_ and rho sit in the value tier of the cache
+policy (ordmaps.value_cache), and a miss runs every check again;
+identities and alpha are built on each call.  Values that depend only
+on shape sit in the shape tier (ordmaps.shape_cache), which holds every
+shape a sweep meets, one checked instance each: the bracketing of a
+tensor is keyed by the two bracketings, the mirrored bracketing of dual
+by the bracketing, block sums and the maps of duals (ordmaps._dual_map,
+the reflected right adjoint) by their maps, and the identity, collapse
+and inclusion maps by size; a composite with a shared identity is the
+other map itself.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ from .ordmaps import (
     InputError,
     MonotoneMap,
     _dual_map,
-    bounded_cache,
     epi_mono_factorize,
     ordinal_sum,
+    shape_cache,
+    value_cache,
 )
 from . import ordmaps
 from .tamari import (
@@ -431,19 +434,20 @@ def classify(f: FskMorphism) -> MorphismClass:
 # ---------------------------------------------------------------------------
 
 
-# _tensor_objects, lambda_ and rho sit under the bounded policy: the
-# axiom sweep walks its tuples with the last slot innermost, so the
-# entries the next tuples share are the recent ones, and a miss is cheap
-# because every check it repeats is linear and runs on shared maps (the
-# collapse and inclusion maps and their duals are built once per size).
-# identity and alpha keep no cache: identity reuses the shared map of
-# its size, and a lookup keyed by alpha's three objects costs about as
-# much as building the morphism.  The values that depend on shape alone
-# (_tensor_lbf, tamari_opposite, ordmaps.ordinal_sum, ordmaps._dual_map
-# and the maps shared by size) are few: the sweep over 7 leaves meets
-# about 600 bracketings and 101 block sums but asks for them about
-# 230,000 times, so each is built and checked once, and every tensor
-# with the same shape of factors holds the same bracketing.
+# _tensor_objects, lambda_ and rho sit in the value tier: the axiom sweep
+# walks its tuples with the last slot innermost, so the entries the next
+# tuples share are the recent ones, and a miss is cheap because every
+# check it repeats is linear and runs on shared maps (the collapse and
+# inclusion maps and their duals are built once per size).  identity and
+# alpha keep no cache: identity reuses the shared map of its size, and a
+# lookup keyed by alpha's three objects costs about as much as building
+# the morphism.  The values that depend on shape alone (_tensor_lbf,
+# tamari_opposite, ordmaps.ordinal_sum, ordmaps._dual_map and the maps
+# shared by size) sit in the shape tier, whose bound holds every one a
+# sweep meets: the sweep over 8 leaves meets 2,047 tensor bracketings
+# but asks for them about 1.3 million times, so each is built and
+# checked once, and every tensor with the same shape of factors holds
+# the same bracketing.
 def identity(obj: FskObject) -> FskMorphism:
     """The identity on obj, a morphism by definition (not re-proved)."""
     return _proved(obj, obj, MonotoneMap.identity(obj.m))
@@ -457,13 +461,13 @@ def compose(g: FskMorphism, f: FskMorphism) -> FskMorphism:
     return _proved(f.src, g.dst, ordmaps.compose(g.map, f.map))
 
 
-@bounded_cache
+@shape_cache
 def _tensor_lbf(s: Lbf, t: Lbf) -> Lbf:
     # the bracketing of a tensor depends on the two bracketings alone
     return Lbf(s.values[:-1] + (0,) + tuple(v + s.m for v in t.values))
 
 
-@bounded_cache
+@value_cache
 def _tensor_objects(a: FskObject, b: FskObject) -> FskObject:
     m = a.m
     return FskObject(m + b.m, a.u + tuple([j + m for j in b.u]),
@@ -493,19 +497,19 @@ def alpha(a: FskObject, b: FskObject, c: FskObject) -> FskMorphism:
     return _proved(src, dst, MonotoneMap.identity(src.m))
 
 
-@bounded_cache
+@shape_cache
 def _collapse_map(m: int) -> MonotoneMap:
     # ord m+1 -> ord m, sending the leading unit and the first letter to 0
     return MonotoneMap(m + 1, m, (0,) + tuple(range(m)))
 
 
-@bounded_cache
+@shape_cache
 def _inclusion_map(m: int) -> MonotoneMap:
     # ord m -> ord m+1, missing only the trailing unit
     return MonotoneMap(m, m + 1, tuple(range(m)))
 
 
-@bounded_cache
+@value_cache
 def lambda_(a: FskObject) -> FskMorphism:
     """The left unit map Ia -> a: collapse the leading unit."""
     src = _tensor_objects(UNIT, a)
@@ -516,7 +520,7 @@ def lambda_(a: FskObject) -> FskMorphism:
 
 
 # its own kernel: dual(lambda_(dual(a))) slows the axiom sweep (3 more objects)
-@bounded_cache
+@value_cache
 def rho(a: FskObject) -> FskMorphism:
     """The right unit map a -> aI: adjoin a trailing unit."""
     dst = _tensor_objects(a, UNIT)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .ordmaps import InputError, bounded_cache
+from .ordmaps import InputError, shape_cache
 from .tamari import Lbf, tamari_bottom
 from .fsk import (
     FskMorphism,
@@ -66,7 +66,7 @@ class LElement:
         return f"LElement({self.to_text()})"
 
 
-@bounded_cache
+@shape_cache
 def _l_element(arity: int, kind: str) -> LElement:
     # the operad has at most two elements per arity, so the operations
     # below return one shared, checked instance of each

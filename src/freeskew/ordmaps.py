@@ -9,8 +9,9 @@ freely between threads.  Reversing both ordinals reflects a map; tamari
 and fsk derive each mirror-image construction from its twin through
 that reflection and the right adjoint.
 
-The package's cache policy lives here too: bounded_cache, and
-cache_stats to report on every cache in the package.
+The package's cache policy lives here too: the two tiers shape_cache
+and value_cache, and cache_stats to report on every cache in the
+package.
 """
 
 from __future__ import annotations
@@ -22,20 +23,29 @@ from itertools import accumulate
 from operator import le, ne
 from typing import Sequence
 
-# The one policy for caches keyed by values: membership proofs and
-# bracketing conversions.  A miss costs O(m), so remembering every answer
-# buys little, and a bound keeps memory flat under a stream of point
-# queries that share little input.
-CACHE_SIZE = 4096
-bounded_cache = lru_cache(maxsize=CACHE_SIZE)
+# The one policy, in two tiers sized by the traffic they serve.  Shape
+# caches hold values that depend on sizes and bracketings alone; a sweep
+# asks for the same few again and again, and the bound holds every key it
+# meets (the 8-leaf axiom sweep meets 2,047 tensor bracketings).  Value
+# caches hold what point queries compute from their own input: right
+# adjoints, transported bracketings, text forms.  Their hits come from
+# within one query, so a few recent queries' worth keeps nearly all of
+# them, and a miss costs one linear pass.
+SHAPE_CACHE_SIZE = 4096
+VALUE_CACHE_SIZE = 512
+shape_cache = lru_cache(maxsize=SHAPE_CACHE_SIZE)
+value_cache = lru_cache(maxsize=VALUE_CACHE_SIZE)
 
 
-def cache_stats() -> dict[str, dict[str, int | None]]:
-    """Hits, misses, size and maxsize (None when unbounded) of every
-    cache in the loaded freeskew modules, keyed "module.function"."""
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses, size and maxsize of every cache in the loaded
+    modules of this package, keyed "module.function"."""
+    # the package's own name, so that a copy loaded under another name
+    # reports its own caches
+    prefix = __name__.rpartition(".")[0] + "."
     stats = {}
     for name, module in sorted(sys.modules.items()):
-        if not name.startswith("freeskew."):
+        if not name.startswith(prefix):
             continue
         for attr, value in sorted(vars(module).items()):
             info = getattr(value, "cache_info", None)
@@ -138,7 +148,7 @@ def _check_images(images: tuple[int, ...], cod: int) -> None:
         prev = value
 
 
-@bounded_cache
+@shape_cache
 def _identity_map(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n)))
 
@@ -157,7 +167,7 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.dom, g.cod, [images[v] for v in f.images])
 
 
-@bounded_cache
+@value_cache
 def _radj(images: tuple[int, ...], cod: int) -> tuple[int, ...]:
     out = []
     i = len(images) - 1
@@ -194,7 +204,7 @@ def _reflect_map(psi: MonotoneMap) -> MonotoneMap:
                        tuple(map((psi.cod - 1).__sub__, reversed(psi.images))))
 
 
-@bounded_cache
+@shape_cache
 def _dual_map(phi: MonotoneMap) -> MonotoneMap:
     # the reflected right adjoint (phi preserves bottom): the map under
     # the dual of a morphism over phi, a surjection when phi is injective
@@ -213,7 +223,7 @@ def epi_mono_factorize(phi: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
     return surj, inj
 
 
-@bounded_cache
+@shape_cache
 def ordinal_sum(phi: MonotoneMap, psi: MonotoneMap) -> MonotoneMap:
     """Block sum: phi on the first block, psi shifted by phi.cod on the second."""
     images = phi.images + tuple(v + phi.cod for v in psi.images)

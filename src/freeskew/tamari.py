@@ -19,18 +19,18 @@ runs.  Code that only reads values calls the tuple kernels, not the
 checked values: the conjugations read ordmaps._radj, and the word
 writer and the middle-bracketing search read _rbf_values.  Lbf and Rbf
 are built like ordmaps.MonotoneMap: __init__ hands the values to
-__post_init__, which checks and stores them.  lbf_to_rbf,
-the conjugations and opposites are memoized under the package's bounded
-cache policy (ordmaps.bounded_cache), so dual and is_swell share one
-mirrored lbf per bracketing; the changes of base, which only the
-factorizations call, are not; the lattices listed by enumerate_tamari
-are kept whole.
+__post_init__, which checks and stores them.  lbf_to_rbf and
+the conjugations sit in the package's value tier (ordmaps.value_cache):
+a query reuses them within itself, so recent entries suffice.  The
+opposites and the lattices listed by enumerate_tamari depend on shape
+alone and sit in the shape tier (ordmaps.shape_cache), so dual and
+is_swell share one mirrored lbf per bracketing.  The changes of base,
+which only the factorizations call, are not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import le
 from typing import Iterator, Sequence
 
@@ -39,8 +39,9 @@ from .ordmaps import (
     MonotoneMap,
     _dual_map,
     _radj,
-    bounded_cache,
     right_adjoint,
+    shape_cache,
+    value_cache,
 )
 
 
@@ -156,7 +157,7 @@ _set_rbf_values = Rbf.values.__set__
 _set_rbf_hash = Rbf._hash.__set__
 
 
-@bounded_cache
+@value_cache
 def lbf_to_rbf(lbf: Lbf) -> Rbf:
     """The rbf determined by an lbf: r(i) = min{j : l(j) < i <= j}.
 
@@ -192,7 +193,7 @@ def rbf_to_lbf(rbf: Rbf) -> Lbf:
     return tamari_opposite(Lbf(_mirror(rbf.values)))
 
 
-@bounded_cache
+@shape_cache
 def tamari_opposite(lbf: Lbf) -> Lbf:
     """The same bracketing read on the reversed ordinal (an involution).
 
@@ -243,9 +244,12 @@ def iter_tamari(m: int) -> Iterator[Lbf]:
     yield from extend(0, [0])
 
 
-# Unbounded, like the structure maps in fsk: objects_on and the axiom
-# sweep read the same small lattices again and again.
-@lru_cache(maxsize=None)
+# Shape tier: objects_on and the axiom sweep read the same small lattices
+# again and again.  The key is a size, so the bound never bites; what
+# bounds the memory is the largest size asked for, Catalan(m-1) lbfs.  The
+# CLI reaches it only through the axiom sweep, whose --max-leaves cap
+# keeps m <= 7, and tamari enum streams iter_tamari instead.
+@shape_cache
 def enumerate_tamari(m: int) -> tuple[Lbf, ...]:
     """All lbfs on ord m in lexicographic order; there are Catalan(m-1)."""
     return tuple(iter_tamari(m))
@@ -310,7 +314,7 @@ def base_change_inj(delta: MonotoneMap, rbf: Rbf) -> Rbf:
     return result
 
 
-@bounded_cache
+@value_cache
 def conjugate_surj(sigma: MonotoneMap, s: Lbf) -> Lbf:
     """Transport a bracketing along a surjection: sigma . l_S . sigma*."""
     if not sigma.is_surjective:
@@ -322,7 +326,7 @@ def conjugate_surj(sigma: MonotoneMap, s: Lbf) -> Lbf:
     return Lbf([images[values[j]] for j in _radj(images, sigma.cod)])
 
 
-@bounded_cache
+@value_cache
 def conjugate_inj(delta: MonotoneMap, s: Lbf) -> Lbf:
     """Restrict a bracketing along a bottom-preserving injection.
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence, Union
 
-from .ordmaps import InputError, MonotoneMap, bounded_cache
+from .ordmaps import InputError, MonotoneMap, value_cache
 from .tamari import Lbf, _rbf_values, lbf_to_rbf
 from .fsk import FskMorphism, FskObject
 
@@ -157,7 +157,7 @@ def parse_object(text: str) -> FskObject:
     return FskObject(m, tuple(u), Lbf(tuple(values) + (m - 1,)))
 
 
-@bounded_cache
+@value_cache
 def format_object(obj: FskObject) -> str:
     """Canonical minimal-whitespace form; parse_object inverts it.
 

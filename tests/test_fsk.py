@@ -1,16 +1,25 @@
 import dataclasses
+import importlib
 import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 
 from freeskew import fsk, ordmaps, tamari
-from freeskew.ordmaps import CACHE_SIZE, InputError, MonotoneMap, cache_stats
+from freeskew.ordmaps import (
+    SHAPE_CACHE_SIZE,
+    VALUE_CACHE_SIZE,
+    InputError,
+    MonotoneMap,
+    cache_stats,
+)
 from freeskew.tamari import (
     Lbf,
     Rbf,
@@ -415,50 +424,96 @@ def random_word(rng, letters):
     return f"({random_word(rng, letters[:k])} {random_word(rng, letters[k:])})"
 
 
+def clear_caches():
+    for key in cache_stats():
+        module, _, name = key.partition(".")
+        getattr(sys.modules[f"freeskew.{module}"], name).cache_clear()
+
+
 class TestCachePolicy:
-    BOUNDED = {"ordmaps._radj", "tamari.lbf_to_rbf",
-               "tamari.conjugate_surj", "tamari.conjugate_inj",
-               "ordmaps._identity_map", "fsk._collapse_map",
-               "fsk._inclusion_map", "fsk._tensor_lbf",
-               "tamari.tamari_opposite", "ordmaps.ordinal_sum",
-               "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
-               "ordmaps._dual_map", "operads._l_element",
-               "words.format_object"}
-    UNBOUNDED = {"tamari.enumerate_tamari"}
+    # values that depend on shape alone, every one a sweep meets kept
+    SHAPE = {"ordmaps._identity_map", "fsk._collapse_map",
+             "fsk._inclusion_map", "fsk._tensor_lbf",
+             "tamari.tamari_opposite", "ordmaps.ordinal_sum",
+             "ordmaps._dual_map", "operads._l_element",
+             "tamari.enumerate_tamari"}
+    # values computed from a query's own input, reused within the query
+    VALUE = {"ordmaps._radj", "tamari.lbf_to_rbf",
+             "tamari.conjugate_surj", "tamari.conjugate_inj",
+             "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
+             "words.format_object"}
+    # what the caches may hold after the queries below, which leave about
+    # 1 MiB in them on CPython 3.11
+    MAX_CACHED_BYTES = 3 * 2 ** 20
 
     def test_point_queries_stay_bounded(self):
         # membership queries in all three modes plus the factorization of
-        # each morphism found, on seeded words of 8 to 14 letters
-        rng = random.Random(5000)
-        for _ in range(5000):
-            m, n = rng.randint(8, 14), rng.randint(8, 14)
-            images = (0,) + tuple(sorted(rng.choices(range(n), k=m - 1)))
-            # generators at some ends of fibres pass the bijection check
-            ends = [k for k in range(m) if k == m - 1 or images[k] < images[k + 1]]
-            u = sorted(rng.sample(ends, rng.randint(0, len(ends))))
-            v = {images[j] for j in u}
-            letters = ["X" if j in u else "I" for j in range(m)]
-            targets = ["X" if h in v else "I" for h in range(n)]
-            src = parse_object(random_word(rng, letters))
-            # half the targets bracketed all to the right, so that many
-            # queries are morphisms
-            dst = parse_object(random_word(rng, targets) if rng.random() < 0.5
-                               else "".join(f"({c} " for c in targets[:-1])
-                               + targets[-1] + ")" * (n - 1))
-            phi = MonotoneMap(m, n, images)
-            if any([is_morphism(src, dst, phi, mode) for mode in MODES]):
-                factor_general(FskMorphism(src, dst, phi))
-        stats = cache_stats()
+        # each morphism found, on seeded words of 8 to 14 letters; traced
+        # from empty caches, so that every entry they hold is counted
+        clear_caches()
+        tracemalloc.start()
+        try:
+            rng = random.Random(5000)
+            for _ in range(5000):
+                m, n = rng.randint(8, 14), rng.randint(8, 14)
+                images = (0,) + tuple(sorted(rng.choices(range(n), k=m - 1)))
+                # generators at some ends of fibres pass the bijection check
+                ends = [k for k in range(m)
+                        if k == m - 1 or images[k] < images[k + 1]]
+                u = sorted(rng.sample(ends, rng.randint(0, len(ends))))
+                v = {images[j] for j in u}
+                letters = ["X" if j in u else "I" for j in range(m)]
+                targets = ["X" if h in v else "I" for h in range(n)]
+                src = parse_object(random_word(rng, letters))
+                # half the targets bracketed all to the right, so that
+                # many queries are morphisms
+                dst = parse_object(random_word(rng, targets)
+                                   if rng.random() < 0.5
+                                   else "".join(f"({c} " for c in targets[:-1])
+                                   + targets[-1] + ")" * (n - 1))
+                phi = MonotoneMap(m, n, images)
+                if any([is_morphism(src, dst, phi, mode) for mode in MODES]):
+                    factor_general(FskMorphism(src, dst, phi))
+            del src, dst, phi
+            stats = cache_stats()
+            held = tracemalloc.get_traced_memory()[0]
+            clear_caches()
+            cached = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         json.dumps(stats)
         # and no other: the caches that did not pay for themselves are gone
-        assert set(stats) == self.BOUNDED | self.UNBOUNDED
-        for name in self.BOUNDED:
-            assert stats[name]["maxsize"] == CACHE_SIZE
-            assert stats[name]["size"] <= CACHE_SIZE, name
-        for name in self.UNBOUNDED:
-            assert stats[name]["maxsize"] is None
-        # the queries outran the bound
-        assert stats["ordmaps._radj"]["misses"] > CACHE_SIZE
+        assert self.SHAPE.isdisjoint(self.VALUE)
+        assert set(stats) == self.SHAPE | self.VALUE
+        for names, bound in ((self.SHAPE, SHAPE_CACHE_SIZE),
+                             (self.VALUE, VALUE_CACHE_SIZE)):
+            for name in names:
+                assert stats[name]["maxsize"] == bound, name
+                assert stats[name]["size"] <= bound, name
+        # the queries outran the value bound, and what they left in the
+        # caches is small
+        assert stats["ordmaps._radj"]["misses"] > VALUE_CACHE_SIZE
+        assert cached < self.MAX_CACHED_BYTES, cached
+
+    def test_stats_follow_the_package_name(self, tmp_path):
+        # a copy of the package loaded under another name reports its own
+        # caches, the same ones
+        copy = tmp_path / "freeskew_copy"
+        shutil.copytree(os.path.dirname(fsk.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sys.path.insert(0, str(tmp_path))
+        try:
+            words_copy = importlib.import_module("freeskew_copy.words")
+            fsk_copy = sys.modules["freeskew_copy.fsk"]
+            a = words_copy.parse_object("(X (I X))")
+            assert fsk_copy.is_morphism(a, a, fsk_copy.identity(a).map)
+            copied = sys.modules["freeskew_copy.ordmaps"].cache_stats()
+        finally:
+            sys.path.remove(str(tmp_path))
+            for name in [n for n in sys.modules if n.startswith("freeskew_copy")]:
+                del sys.modules[name]
+        assert set(copied) == set(cache_stats())
+        assert copied["ordmaps._identity_map"]["misses"] > 0
 
 
 def left_comb(n):
