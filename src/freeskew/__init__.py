@@ -70,16 +70,7 @@ from .operads import (
     s_substitute_objects,
     terminal_in_grade,
 )
-from .words import (
-    BracketTree,
-    Leaf,
-    Node,
-    format_word,
-    lbf_to_tree,
-    object_from_word,
-    object_to_word,
-    parse_word,
-    tree_to_lbf,
-)
+# the text and JSON forms of words, reached as freeskew.words
+from . import words
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,10 +27,10 @@ from typing import Sequence
 # caches hold values that depend on sizes and bracketings alone; a sweep
 # asks for the same few again and again, and the bound holds every key it
 # meets (the 8-leaf axiom sweep meets 2,047 tensor bracketings).  Value
-# caches hold what point queries compute from their own input: right
-# adjoints, transported bracketings, text forms.  Their hits come from
-# within one query, so a few recent queries' worth keeps nearly all of
-# them, and a miss costs one linear pass.
+# caches hold what point queries compute from their own input:
+# transported bracketings, tensors of objects, text forms.  Their hits
+# come from within one query, so a few recent queries' worth keeps
+# nearly all of them, and a miss costs one linear pass.
 SHAPE_CACHE_SIZE = 4096
 VALUE_CACHE_SIZE = 512
 shape_cache = lru_cache(maxsize=SHAPE_CACHE_SIZE)
@@ -167,8 +167,9 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(f.dom, g.cod, [images[v] for v in f.images])
 
 
-@value_cache
 def _radj(images: tuple[int, ...], cod: int) -> tuple[int, ...]:
+    # one scan, not cached: paired passes with and without a cache timed
+    # the same
     out = []
     i = len(images) - 1
     for j in range(cod - 1, -1, -1):

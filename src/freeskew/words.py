@@ -6,18 +6,17 @@ The word grammar is
 
 with arbitrary whitespace between tokens; pairs are strictly binary.
 Words are read into triples and written from them without recursion.
-Bracket trees, the other form of a word, appear nowhere else.
+A word has no other form in the package: there is no bracket tree, and
+text, JSON and triples are the only ways a word enters or leaves.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any
 
 from .ordmaps import InputError, MonotoneMap, value_cache
-from .tamari import Lbf, _rbf_values, lbf_to_rbf
+from .tamari import Lbf, _rbf_values
 from .fsk import FskMorphism, FskObject
 
 
@@ -27,93 +26,6 @@ class WordSyntaxError(InputError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class Leaf:
-    """A leaf of a bracket tree, optionally labelled (e.g. "X" or "I")."""
-
-    label: str = "X"
-
-
-@dataclass(frozen=True)
-class Node:
-    """An internal node of a bracket tree: an ordered pair of subtrees."""
-
-    left: "BracketTree"
-    right: "BracketTree"
-
-
-BracketTree = Union[Leaf, Node]
-
-
-def _read_tree(tree: BracketTree) -> tuple[list[str], tuple[int, ...]]:
-    """The leaf labels, left to right, and the lbf values of a tree.
-
-    Each internal node contributes one entry: if its leftmost leaf has
-    index a and the leftmost leaf of its right child has index c, then
-    the lbf takes value a at c-1.  The top entry is forced.
-    """
-    labels: list[str] = []
-    values: list[int] = []
-    stack: list[tuple[BracketTree, int | None]] = [(tree, None)]
-    while stack:
-        node, opened = stack.pop()
-        if opened is not None:
-            values.append(opened)
-        if isinstance(node, Leaf):
-            labels.append(node.label)
-        else:
-            stack.append((node.right, len(labels)))
-            stack.append((node.left, None))
-    return labels, tuple(values) + (len(labels) - 1,)
-
-
-def leaf_count(tree: BracketTree) -> int:
-    return len(_read_tree(tree)[0])
-
-
-def tree_to_lbf(tree: BracketTree) -> Lbf:
-    """The lbf of a tree's shape (labels are ignored)."""
-    return Lbf(_read_tree(tree)[1])
-
-
-def lbf_to_tree(lbf: Lbf, labels: Sequence[str] | None = None) -> BracketTree:
-    """The tree whose shape has the given lbf; inverse of tree_to_lbf.
-
-    Optional labels name the leaves left to right.
-    """
-    if labels is not None and len(labels) != lbf.m:
-        raise InputError(f"expected {lbf.m} labels, got {len(labels)}")
-    # the pair whose right half starts at i >= 1 ends at letter r(i)
-    closings = Counter(lbf_to_rbf(lbf).values[1:])
-    stack: list[BracketTree] = []
-    for j, label in enumerate(labels or ["X"] * lbf.m):
-        stack.append(Leaf(label))
-        for _ in range(closings[j]):
-            right = stack.pop()
-            stack.append(Node(stack.pop(), right))
-    return stack[0]
-
-
-def object_from_word(tree: BracketTree) -> FskObject:
-    """Read a labelled tree as a triple: X-positions plus tree shape."""
-    labels, values = _read_tree(tree)
-    bad = sorted(set(labels) - {"X", "I"})
-    if bad:
-        raise InputError(f"leaf labels must be X or I, got {bad}")
-    u = tuple(i for i, label in enumerate(labels) if label == "X")
-    return FskObject(len(labels), u, Lbf(values))
-
-
-def _letters(obj: FskObject) -> list[str]:
-    generators = set(obj.u)
-    return ["X" if i in generators else "I" for i in range(obj.m)]
-
-
-def object_to_word(obj: FskObject) -> BracketTree:
-    """The labelled tree of an object; inverse of object_from_word."""
-    return lbf_to_tree(obj.s, _letters(obj))
 
 
 def parse_object(text: str) -> FskObject:
@@ -178,16 +90,6 @@ def format_object(obj: FskObject) -> str:
         letters[j] = "X"
     return " ".join(["(" * o + letter + ")" * c
                      for o, letter, c in zip(openings, letters, closings)])
-
-
-def parse_word(text: str) -> BracketTree:
-    """Parse a bracketed word into its tree; see parse_object."""
-    return object_to_word(parse_object(text))
-
-
-def format_word(tree: BracketTree) -> str:
-    """Canonical minimal-whitespace form; parse_word(format_word(t)) == t."""
-    return format_object(object_from_word(tree))
 
 
 def parse_values(text: str) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ the code paths they are checking.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 
@@ -30,14 +31,7 @@ from freeskew.fsk import (
     is_morphism,
     objects_on,
 )
-from freeskew.words import (
-    Leaf,
-    Node,
-    lbf_to_tree,
-    object_from_word,
-    object_to_word,
-    tree_to_lbf,
-)
+from freeskew.words import parse_object
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -134,10 +128,66 @@ def brute_second_right_adjoint(phi):
 # ---------------------------------------------------------------------------
 # the tree route
 #
-# The library works on triples only.  These recompute the same results
-# the way the definitions read: by building bracket trees, grafting or
-# mirroring them, and reading the triple back off.
+# The library works on triples only and has no bracket tree; this is the
+# one tree implementation.  These recompute the same results the way the
+# definitions read: by building bracket trees, grafting or mirroring
+# them, and reading the triple back off.  A tree becomes an object only
+# through its text (tree_text and the library's parse_object).
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """A leaf of a bracket tree, labelled by its letter."""
+
+    label: str = "X"
+
+
+@dataclass(frozen=True)
+class Node:
+    """An internal node of a bracket tree: an ordered pair of subtrees."""
+
+    left: object
+    right: object
+
+
+def tree_to_lbf(tree):
+    """The lbf of a tree's shape: a node whose leftmost leaf is a and
+    whose right child starts at leaf c sets l(c-1) = a, and l(m-1) = m-1."""
+    values = {}
+
+    def leaves(node, a):
+        # the number of leaves of node, whose leftmost leaf is a
+        if isinstance(node, Leaf):
+            return 1
+        c = a + leaves(node.left, a)
+        values[c - 1] = a
+        return c - a + leaves(node.right, c)
+
+    m = leaves(tree, 0)
+    values[m - 1] = m - 1
+    return Lbf(tuple(values[j] for j in range(m)))
+
+
+def lbf_to_tree(lbf, labels=None):
+    """The tree of an lbf, its leaves labelled left to right (all X by
+    default): the pair spanning leaves a to b splits after the largest
+    j < b with l(j) = a."""
+    labels = labels or "X" * lbf.m
+
+    def build(a, b):
+        if a == b:
+            return Leaf(labels[a])
+        j = max(j for j in range(a, b) if lbf.values[j] == a)
+        return Node(build(a, j), build(j + 1, b))
+
+    return build(0, lbf.m - 1)
+
+
+def object_tree(obj):
+    """The tree of an object: its bracketing, labelled by its letters."""
+    return lbf_to_tree(obj.s, ["X" if j in obj.u else "I"
+                               for j in range(obj.m)])
 
 
 def mirror_tree(tree):
@@ -148,19 +198,37 @@ def mirror_tree(tree):
 
 def graft_tensor(a, b):
     """The tensor of two objects: the tree with the two words as halves."""
-    return object_from_word(Node(object_to_word(a), object_to_word(b)))
+    return parse_object(tree_text(Node(object_tree(a), object_tree(b))))
 
 
 def graft_substitute(g, fs):
     """Substitution: graft the words fs onto the X leaves of g in order."""
-    replacements = iter([object_to_word(f) for f in fs])
+    replacements = iter([object_tree(f) for f in fs])
 
     def graft(tree):
         if isinstance(tree, Leaf):
             return next(replacements) if tree.label == "X" else tree
         return Node(graft(tree.left), graft(tree.right))
 
-    return object_from_word(graft(object_to_word(g)))
+    return parse_object(tree_text(graft(object_tree(g))))
+
+
+@lru_cache(maxsize=None)
+def opposite_oracle(s):
+    """The lbf of the mirror-image tree."""
+    return tree_to_lbf(mirror_tree(lbf_to_tree(s)))
+
+
+def reflect_values(values):
+    """A bracketing function read on the reversed ordinal."""
+    m = len(values)
+    return tuple(m - 1 - values[m - 1 - j] for j in range(m))
+
+
+def mirror_rbf_values(lbf):
+    """The rbf of an lbf: the lbf of the mirror-image tree, read on the
+    reversed ordinal."""
+    return reflect_values(opposite_oracle(lbf).values)
 
 
 def mirror_lbf_values(rbf):
@@ -170,9 +238,7 @@ def mirror_lbf_values(rbf):
     its tree, mirror the tree and read the lbf off.  The round trip
     through lbf_to_rbf must give the rbf back.
     """
-    m = rbf.m
-    opposite = Lbf(tuple(m - 1 - rbf.values[m - 1 - j] for j in range(m)))
-    lbf = tree_to_lbf(mirror_tree(lbf_to_tree(opposite)))
+    lbf = opposite_oracle(Lbf(reflect_values(rbf.values)))
     assert lbf_to_rbf(lbf) == rbf
     return lbf.values
 
@@ -201,17 +267,6 @@ def tree_of_text(text):
 # ---------------------------------------------------------------------------
 # Tamari oracles
 # ---------------------------------------------------------------------------
-
-
-def mirror_rbf_values(lbf, tree_of):
-    """The rbf of an lbf via the mirror-image tree.
-
-    tree_of must build a tree with the given lbf; the bracketing is then
-    read off the reversed tree on the reversed ordinal.
-    """
-    m = lbf.m
-    mirrored = tree_to_lbf(mirror_tree(tree_of(lbf)))
-    return tuple(m - 1 - mirrored.values[m - 1 - j] for j in range(m))
 
 
 def brute_upper_bounds(s, t):
@@ -261,11 +316,6 @@ def reflect_map(psi):
     return MonotoneMap(psi.dom, psi.cod,
                        tuple(psi.cod - 1 - psi.images[psi.dom - 1 - j]
                              for j in range(psi.dom)))
-
-
-@lru_cache(maxsize=None)
-def opposite_oracle(s):
-    return tree_to_lbf(mirror_tree(lbf_to_tree(s)))
 
 
 def bij_ok_oracle(phi, u, v):

@@ -62,10 +62,12 @@ from freeskew.operads import (
     initial_in_grade,
     terminal_in_grade,
 )
-from freeskew.words import Leaf, Node, format_object, lbf_to_tree, tree_to_lbf
+from freeskew.words import format_object, parse_object
 
 from oracles import (
     CATALAN,
+    Leaf,
+    Node,
     all_bottom_injections,
     all_bottom_maps,
     all_objects,
@@ -76,11 +78,14 @@ from oracles import (
     brute_second_right_adjoint,
     component_bij_oracle,
     general_def_brackets_ok,
+    lbf_to_tree,
     objects_up_to,
     opposite_oracle,
     reflect_map,
     shrink_brackets_ok,
     surj_def_brackets_ok,
+    tree_text,
+    tree_to_lbf,
 )
 
 
@@ -102,15 +107,21 @@ def test_01_tamari_counts():
 
 
 def test_02_bracketing_correspondence():
+    # the text of each tree parses to the lbf the definition reads off
+    # the tree, and each lbf writes as the text of its tree
     tree = Node(Node(Leaf(), Node(Node(Leaf(), Leaf()), Leaf())), Leaf())
-    assert tree_to_lbf(tree).values == (0, 1, 1, 0, 4)
+    assert parse_object(tree_text(tree)).s.values == (0, 1, 1, 0, 4)
     trees = 0
     for m in range(1, 9):
         for t in all_trees(m):
-            assert lbf_to_tree(tree_to_lbf(t)) == t
+            s = parse_object(tree_text(t)).s
+            assert s == tree_to_lbf(t)
+            assert lbf_to_tree(s) == t
             trees += 1
         for s in enumerate_tamari(m):
             assert tree_to_lbf(lbf_to_tree(s)) == s
+            word = FskObject(m, tuple(range(m)), s)
+            assert format_object(word) == tree_text(lbf_to_tree(s))
     report(2, f"five-letter word gives 0,1,1,0,4; {trees} trees round-trip (m <= 8)")
 
 

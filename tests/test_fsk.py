@@ -60,15 +60,11 @@ from freeskew.fsk import (
     rho,
     tensor,
 )
-from freeskew.words import (
-    Leaf,
-    Node,
-    object_from_word,
-    object_to_word,
-    parse_object,
-)
+from freeskew.words import format_object, parse_object
 
 from oracles import (
+    Leaf,
+    Node,
     all_bottom_maps,
     all_monotone_images,
     all_objects,
@@ -80,6 +76,7 @@ from oracles import (
     graft_tensor,
     inj_def_brackets_ok,
     monotone_loop_check,
+    object_tree,
     objects_up_to,
     opposite_oracle,
     pinned_filter_hom,
@@ -87,6 +84,7 @@ from oracles import (
     shrink_oracle,
     surj_def_brackets_ok,
     swell_oracle,
+    tree_text,
 )
 
 
@@ -304,20 +302,23 @@ class TestSharedValues:
 
 
 class TestWords:
+    # a tree's text parses to its triple, and the triple writes back as
+    # the text of its tree
     def test_examples(self):
-        assert object_from_word(Node(Leaf("X"), Node(Leaf("I"), Leaf("X")))) \
+        assert parse_object(tree_text(Node(Leaf("X"), Node(Leaf("I"), Leaf("X"))))) \
             == obj(3, (0, 2), (0, 1, 2))
-        assert object_from_word(Leaf("X")) == X
-        assert object_from_word(Node(Node(Leaf("I"), Leaf("X")), Leaf("X"))) \
+        assert parse_object(tree_text(Leaf("X"))) == X
+        assert parse_object(tree_text(Node(Node(Leaf("I"), Leaf("X")), Leaf("X")))) \
             == obj(3, (1, 2), (0, 0, 2))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(InputError):
-            object_from_word(Node(Leaf("X"), Leaf("Y")))
+            parse_object(tree_text(Node(Leaf("X"), Leaf("Y"))))
 
     def test_round_trip(self):
         for a in objects_up_to(5):
-            assert object_from_word(object_to_word(a)) == a
+            assert parse_object(tree_text(object_tree(a))) == a
+            assert format_object(a) == tree_text(object_tree(a))
 
 
 class TestIsMorphism:
@@ -438,7 +439,7 @@ class TestCachePolicy:
              "ordmaps._dual_map", "operads._l_element",
              "tamari.enumerate_tamari"}
     # values computed from a query's own input, reused within the query
-    VALUE = {"ordmaps._radj", "tamari.lbf_to_rbf",
+    VALUE = {"tamari.lbf_to_rbf",
              "tamari.conjugate_surj", "tamari.conjugate_inj",
              "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
              "words.format_object"}
@@ -492,7 +493,7 @@ class TestCachePolicy:
                 assert stats[name]["size"] <= bound, name
         # the queries outran the value bound, and what they left in the
         # caches is small
-        assert stats["ordmaps._radj"]["misses"] > VALUE_CACHE_SIZE
+        assert stats["tamari.conjugate_surj"]["misses"] > VALUE_CACHE_SIZE
         assert cached < self.MAX_CACHED_BYTES, cached
 
     def test_stats_follow_the_package_name(self, tmp_path):

@@ -23,10 +23,13 @@ from freeskew.tamari import (
     validate_lbf,
     validate_rbf,
 )
-from freeskew.words import Leaf, Node, lbf_to_tree, leaf_count, tree_to_lbf
+from freeskew.fsk import FskObject
+from freeskew.words import format_object, parse_object
 
 from oracles import (
     CATALAN,
+    Leaf,
+    Node,
     all_bottom_injections,
     all_surjections,
     all_trees,
@@ -36,9 +39,13 @@ from oracles import (
     brute_meet,
     brute_right_adjoint,
     lbf_to_rbf_loop,
+    lbf_to_tree,
     mirror_lbf_values,
     mirror_rbf_values,
+    object_tree,
     rbf_to_lbf_loop,
+    tree_text,
+    tree_to_lbf,
     validate_lbf_loop,
     validate_rbf_loop,
 )
@@ -156,7 +163,7 @@ class TestRbfConversion:
         # and the quadratic loops read off the defining formulas
         for m in range(1, 10):
             for s in enumerate_tamari(m):
-                assert lbf_to_rbf(s).values == mirror_rbf_values(s, lbf_to_tree)
+                assert lbf_to_rbf(s).values == mirror_rbf_values(s)
                 r = lbf_to_rbf(s)
                 assert rbf_to_lbf(r).values == mirror_lbf_values(r)
                 assert r.values == lbf_to_rbf_loop(s)
@@ -191,32 +198,40 @@ class TestRbfConversion:
 
 
 class TestTrees:
+    # the oracle's trees against the text route: the text of a tree
+    # parses to the lbf that the definition reads off the tree
     def test_paper_five_letter_example(self):
         tree = Node(Node(Leaf(), Node(Node(Leaf(), Leaf()), Leaf())), Leaf())
         assert tree_to_lbf(tree).values == (0, 1, 1, 0, 4)
+        assert parse_object(tree_text(tree)).s == tree_to_lbf(tree)
 
     def test_figure_example(self):
         tree = Node(Node(Leaf(), Node(Leaf(), Leaf())), Leaf())
         assert tree_to_lbf(tree).values == (0, 1, 0, 3)
+        assert parse_object(tree_text(tree)).s == tree_to_lbf(tree)
 
     def test_single_leaf(self):
         assert tree_to_lbf(Leaf()).values == (0,)
+        assert parse_object(tree_text(Leaf())).s == tree_to_lbf(Leaf())
 
     def test_round_trip_both_ways(self):
         for m in range(1, 9):
             for tree in all_trees(m):
-                assert lbf_to_tree(tree_to_lbf(tree)) == tree
+                s = parse_object(tree_text(tree)).s
+                assert s == tree_to_lbf(tree)
+                assert lbf_to_tree(s) == tree
             for s in enumerate_tamari(m):
                 assert tree_to_lbf(lbf_to_tree(s)) == s
+                word = FskObject(m, tuple(range(m)), s)
+                assert format_object(word) == tree_text(lbf_to_tree(s))
 
     def test_labels(self):
-        tree = lbf_to_tree(Lbf((0, 0, 2)), labels=["X", "I", "X"])
-        assert tree == Node(Node(Leaf("X"), Leaf("I")), Leaf("X"))
-        with pytest.raises(InputError):
-            lbf_to_tree(Lbf((0, 0, 2)), labels=["X"])
+        a = FskObject(3, (0, 2), Lbf((0, 0, 2)))
+        assert object_tree(a) == Node(Node(Leaf("X"), Leaf("I")), Leaf("X"))
+        assert format_object(a) == tree_text(object_tree(a))
 
     def test_leaf_count(self):
-        assert leaf_count(Node(Leaf(), Node(Leaf(), Leaf()))) == 3
+        assert parse_object(tree_text(Node(Leaf(), Node(Leaf(), Leaf())))).m == 3
 
 
 class TestBaseChangeSurj:

@@ -5,30 +5,35 @@ import sys
 
 import pytest
 
-from freeskew import cli, fsk, operads, ordmaps, tamari
+import freeskew
+from freeskew import cli, fsk, operads, ordmaps, tamari, words
 from freeskew.ordmaps import InputError, MonotoneMap
 from freeskew.fsk import hom, lambda_, rho, tensor, GENERATOR as X, UNIT as I
 from freeskew.words import (
-    Leaf,
-    Node,
     WordSyntaxError,
     format_morphism,
     format_object,
-    format_word,
     morphism_from_json,
     morphism_to_json,
     object_from_json,
     object_to_json,
-    object_to_word,
     parse_lbf,
     parse_map,
     parse_morphism,
     parse_object,
-    parse_word,
 )
 from freeskew.cli import main
 
-from oracles import format_object_counter, objects_up_to, tree_of_text, tree_text
+from oracles import (
+    Leaf,
+    Node,
+    format_object_counter,
+    object_tree,
+    objects_up_to,
+    tree_of_text,
+    tree_text,
+    tree_to_lbf,
+)
 
 # the 1,501-leaf combs, nested 1,500 deep
 LEFT_COMB = "(" * 1500 + "X" + " X)" * 1500
@@ -37,52 +42,50 @@ RIGHT_COMB = "(X " * 1500 + "X" + ")" * 1500
 
 class TestParseWord:
     def test_example(self):
-        assert parse_word("(X (I X))") == Node(Leaf("X"), Node(Leaf("I"), Leaf("X")))
-        assert parse_object("(X (I X))").u == (0, 2)
+        a = parse_object("(X (I X))")
+        tree = Node(Leaf("X"), Node(Leaf("I"), Leaf("X")))
+        assert (a.m, a.u, a.s) == (3, (0, 2), tree_to_lbf(tree))
 
     def test_leaves(self):
-        assert parse_word("X") == Leaf("X")
-        assert parse_word("  I ") == Leaf("I")
+        assert parse_object("X") == X
+        assert parse_object("  I ") == I
 
     def test_non_binary_rejected(self):
         with pytest.raises(WordSyntaxError) as err:
-            parse_word("(X X X)")
+            parse_object("(X X X)")
         assert err.value.offset == 5
 
     def test_errors_carry_offsets(self):
         with pytest.raises(WordSyntaxError) as err:
-            parse_word("")
+            parse_object("")
         assert err.value.offset == 0
         with pytest.raises(WordSyntaxError):
-            parse_word("(X X")
+            parse_object("(X X")
         with pytest.raises(WordSyntaxError):
-            parse_word("X)")
+            parse_object("X)")
         with pytest.raises(WordSyntaxError):
-            parse_word("(X Y)")
+            parse_object("(X Y)")
 
     def test_whitespace_insensitive(self):
-        assert parse_word("((I   X)\tX)") == parse_word("((I X) X)")
+        assert parse_object("((I   X)\tX)") == parse_object("((I X) X)")
 
 
 class TestFormatWord:
     def test_examples(self):
-        assert format_word(parse_word("((I X) X)")) == "((I X) X)"
-        assert format_word(Leaf("I")) == "I"
+        assert format_object(parse_object("((I X) X)")) == "((I X) X)"
+        assert format_object(I) == "I"
         target = "((I (X X)) ((I X) X))"
-        assert format_word(parse_word(target)) == target
+        assert format_object(parse_object(target)) == target
 
     def test_round_trip_all_small_words(self):
         for a in objects_up_to(6):
             text = format_object(a)
             assert parse_object(text) == a
-            assert format_word(parse_word(text)) == text
-            assert text == tree_text(object_to_word(a))
-            assert parse_word(text) == tree_of_text(text)
+            assert text == tree_text(object_tree(a))
+            assert tree_of_text(text) == object_tree(a)
 
     @pytest.mark.parametrize("text", [LEFT_COMB, RIGHT_COMB], ids=["left", "right"])
     def test_deep_words_round_trip(self, text):
-        # compare text, not trees: dataclass == recurses on depth
-        assert format_word(parse_word(text)) == text
         assert format_object(parse_object(text)) == text
 
     def test_matches_counting_writer(self):
@@ -426,8 +429,11 @@ class TestCli:
 
 class TestBoundary:
     def test_core_binds_no_tree(self):
-        # bracket trees are a text form; the core computes on triples only
-        tree_names = {"Leaf", "Node", "BracketTree", "lbf_to_tree",
-                      "tree_to_lbf", "object_to_word", "object_from_word"}
-        for module in (ordmaps, tamari, fsk, operads):
+        # a word is a triple or its text; bracket trees live only in the
+        # test oracles
+        tree_names = {"Leaf", "Node", "BracketTree", "leaf_count",
+                      "tree_to_lbf", "lbf_to_tree", "object_from_word",
+                      "object_to_word", "parse_word", "format_word"}
+        for module in (ordmaps, tamari, fsk, operads, words, cli, freeskew):
             assert not tree_names & set(vars(module)), module.__name__
+        assert not tree_names & set(freeskew.__all__)
