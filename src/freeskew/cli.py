@@ -26,7 +26,6 @@ from .fsk import (
     axiom_rho_alpha_lambda,
     factor_general,
     hom,
-    hom_candidate_count,
     is_morphism,
     objects_on,
 )
@@ -45,18 +44,11 @@ from .words import (
 
 
 # Size limits, so that no input asks for unbounded work: Catalan(13) =
-# 742,900 lbfs; the axiom sweep the acceptance suite runs; hom-sets with
-# at most 2,000,000 candidate maps (hom_candidate_count) times letters
-# of both words.  The pruned search is not output-sensitive: each prefix
-# it enters extends a candidate, so the candidates times the letters
-# bound the prefixes it enters, the leaves it proves and the text it
-# prints; the morphisms it lists do not.  That one cap also bounds the
-# candidates: on L letters there are at most C(L-2, (L-2)//2), so more
-# than 100,000 needs L >= 22 and then is past the cap.  Operad words may
-# be as long as the 1,501-letter combs the deep-word tests run.
+# 742,900 lbfs; the axiom sweep the acceptance suite runs.  hom bounds
+# its own search (fsk.MAX_HOM_STEPS).  Operad words may be as long as
+# the 1,501-letter combs the deep-word tests run.
 MAX_TAMARI_ENUM = 14
 MAX_AXIOM_LEAVES = 8
-MAX_HOM_WORK = 2_000_000
 MAX_OPERAD_ARITY = 1500
 
 
@@ -117,14 +109,7 @@ def _cmd_obj_parse(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    src, dst = parse_object(args.src), parse_object(args.dst)
-    count = hom_candidate_count(src, dst)
-    letters = src.m + dst.m
-    if count * letters > MAX_HOM_WORK:
-        raise InputError(f"hom has {count} candidate maps on {letters} "
-                         f"letters, {count * letters} in all, "
-                         f"more than {MAX_HOM_WORK}")
-    morphisms = hom(src, dst)
+    morphisms = hom(parse_object(args.src), parse_object(args.dst))
     if args.json:
         print(dump_json([morphism_to_json(f) for f in morphisms]))
     else:

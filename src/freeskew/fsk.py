@@ -47,8 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, prod
-from operator import le, lt
+from operator import ge, le, lt
 from typing import Sequence
 
 from .ordmaps import (
@@ -75,6 +74,10 @@ from .tamari import (
 )
 
 MODES = ("direct", "via_factor", "via_search")
+
+# hom's bound on its own work: the moves of its search, and the letters
+# of the morphisms it lists (both ends of each); past either it raises
+MAX_HOM_STEPS = 2_000_000
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -592,60 +595,23 @@ def factor_general(f: FskMorphism) -> tuple[FskMorphism, FskObject, FskMorphism]
     return surj, middle, inj
 
 
-def _hom_blocks(a: FskObject, b: FskObject) -> list[tuple[int, int, int]] | None:
-    """The maps hom(a, b) searches, as runs of the letters 1..a.m-1 in order.
-
-    A run (k, lo, hi) is k letters whose images may be any weakly
-    increasing values in range(lo, hi).  Position 0 goes to 0, and
-    generator u_i goes to v_i as the last point of its fibre, so the
-    units after it lie strictly above v_i and at most at v_{i+1} (or the
-    top).  These are exactly the bottom-preserving maps meeting the
-    generator conditions; None when there are none.
-    """
-    if a.grade != b.grade:
-        return None
-    blocks, start, lo = [], 1, 0
-    for j, v in zip(a.u, b.u):
-        if j == 0:
-            if v != 0:
-                return None
-            lo = 1
-            continue
-        blocks += [(j - start, lo, v + 1), (1, v, v + 1)]
-        start, lo = j + 1, v + 1
-    blocks.append((a.m - start, lo, b.m))
-    blocks = [block for block in blocks if block[0]]
-    if any(low >= high for _, low, high in blocks):
-        return None
-    return blocks
-
-
-def hom_candidate_count(a: FskObject, b: FskObject) -> int:
-    """How many maps meet the bottom and generator conditions for
-    a -> b, counted without building them: a product of one binomial per
-    run of free units.  hom(a, b) lists a subset of these, so this
-    bounds its output."""
-    blocks = _hom_blocks(a, b)
-    if blocks is None:
-        return 0
-    return prod(comb(hi - lo + k - 1, k) for k, lo, hi in blocks)
-
-
 def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     """All morphisms a -> b, ordered lexicographically by image tuples.
 
     The generator bijection pins each generator of a to its image, so
-    only the units between the pins vary.  A depth-first search fills
-    the positions 1..a.m-1 in order, each within its run of _hom_blocks
-    and at or above the previous image, and carries the scan of
-    _bracket_direct_ok along: once image j passes image j-1, position
-    j-1 is last in its fibre and takes its _scan_close step.  A prefix
-    is dropped when the step fails, or when a pending level h has r_T(h)
-    below the current image, since every later image is at least as
-    high.  A leaf takes the last step of the scan the search holds
-    (_scan_end, the step _bracket_direct_ok ends with), so each leaf
-    gets the whole direct check, every step once and in the same order,
-    and is kept if it passes; that one check is its whole proof, so the
+    only the units between the pins vary: position 0 goes to 0,
+    generator u_i goes to v_i as the last point of its fibre, and the
+    units after it lie strictly above v_i and at most at v_{i+1} (or the
+    top).  A depth-first search fills the positions 1..a.m-1 in order,
+    each within its pins and at or above the previous image, and carries
+    the scan of _bracket_direct_ok along: once image j passes image j-1,
+    position j-1 is last in its fibre and takes its _scan_close step.  A
+    prefix is dropped when the step fails, or when a pending level h has
+    r_T(h) below the current image, since every later image is at least
+    as high.  A leaf takes the last step of the scan the search holds
+    (_scan_end, the step _bracket_direct_ok ends with), so each leaf gets
+    the whole direct check, every step once and in the same order, and
+    is kept if it passes; that one check is its whole proof, so the
     listed morphisms are not proved again.  The scan's stacks are
     immutable and shared, so backtracking only moves back a position,
     and the search is iterative, so deep words do not reach the
@@ -655,18 +621,26 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     stack[1] >= images[m-1] at position m-1, and the last step opens at
     the top image itself, so it pops nothing and pushes r_T(top) >= top.
     The leaf's _scan_end call stays as the explicit proof.  The search
-    is still not output-sensitive, since a prefix can lead to no leaf.
-    Each prefix it enters extends to a candidate, so it enters at most
-    (a.m - 1) * hom_candidate_count(a, b) prefixes; that count, not the
-    output, bounds the work.
+    is not output-sensitive, since a prefix can lead to no leaf, so it
+    bounds the work it does: past MAX_HOM_STEPS moves of the search, or
+    past MAX_HOM_STEPS letters listed (a.m + b.m per morphism), it
+    raises InputError.
     """
-    blocks = _hom_blocks(a, b)
-    if blocks is None:
+    if a.grade != b.grade:
         return []
-    los, his = [0], [1]
-    for k, lo, hi in blocks:
-        los += [lo] * k
-        his += [hi] * k
+    # position j goes into range(los[j], his[j]): the units before u_i
+    # into (v_{i-1}, v_i], u_i to v_i, and position 0 to 0 (an empty
+    # range when a generator there goes higher)
+    los, his, start, lo = [], [], 0, 0
+    for j, v in zip(a.u, b.u):
+        los += [lo] * (j - start) + [v]
+        his += [v + 1] * (j - start + 1)
+        start, lo = j + 1, v + 1
+    los += [lo] * (a.m - start)
+    his += [b.m] * (a.m - start)
+    his[0] = 1
+    if any(map(ge, los, his)):
+        return []
     m, svalues = a.m, a.s.values
     r_t = lbf_to_rbf(b.s).values
     images = [0] * m
@@ -677,13 +651,19 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     closed = [None] * m
     nexts = list(los)  # nexts[j]: the next image to try at position j
     out = []
+    most = MAX_HOM_STEPS // (m + b.m)  # the morphisms it may list
     # stack: the scan for the position being filled, held into the leaf
     stack = stacks[0]
     j = 1
-    while j:
+    for _ in range(MAX_HOM_STEPS):
+        if not j:
+            return out
         if j == m:
             if _scan_end(stack, images[m - 1], images[svalues[m - 1]], r_t):
                 out.append(_proved(a, b, MonotoneMap(m, b.m, tuple(images))))
+                if len(out) > most:
+                    raise InputError(f"hom lists more than MAX_HOM_STEPS = "
+                                     f"{MAX_HOM_STEPS} letters")
             j -= 1
             continue
         v, prev = nexts[j], images[j - 1]
@@ -703,6 +683,9 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
             stacks[j] = stack
             closed[j] = None
             nexts[j] = max(los[j], v)
+    if j:
+        raise InputError(f"hom takes more than MAX_HOM_STEPS = "
+                         f"{MAX_HOM_STEPS} search steps")
     return out
 
 

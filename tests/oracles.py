@@ -7,8 +7,9 @@ the code paths they are checking.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
+from math import comb, prod
 
 from freeskew.ordmaps import (
     InputError,
@@ -27,7 +28,6 @@ from freeskew.fsk import (
     FskMorphism,
     FskObject,
     _bracket_direct_ok,
-    _hom_blocks,
     is_morphism,
     objects_on,
 )
@@ -436,21 +436,107 @@ def filter_hom(a, b):
     return out
 
 
+def pinned_runs(a, b):
+    """The candidate maps a -> b, as runs (k, lo, hi) of the letters
+    1..a.m-1 in order: k letters whose images are any weakly increasing
+    values in range(lo, hi).  Position 0 goes to 0, generator u_i goes to
+    v_i as the last point of its fibre, and the units between two pins
+    lie in (v_i, v_{i+1}]: above -1 before the first generator, and at
+    most at the top b.m - 1 after the last.  None when no map meets these
+    conditions."""
+    if a.grade != b.grade:
+        return None
+    pins = dict(zip(a.u, b.u))
+    if pins.get(0, 0) != 0:
+        return None
+    runs, units, below = [], 0, pins.get(0, -1)
+    for p in range(1, a.m + 1):
+        if p < a.m and p not in pins:
+            units += 1
+            continue
+        above = pins.get(p, b.m - 1)
+        if units:
+            runs.append((units, below + 1, above + 1))
+        if p < a.m:
+            runs.append((1, above, above + 1))
+        units, below = 0, above
+    if any(lo >= hi for _, lo, hi in runs):
+        return None
+    return runs
+
+
+def candidate_count(a, b):
+    """How many maps meet the bottom and generator conditions for a -> b:
+    a run of k letters over hi - lo values has C(hi - lo + k - 1, k)
+    weakly increasing fillings."""
+    runs = pinned_runs(a, b)
+    if runs is None:
+        return 0
+    return prod(comb(hi - lo + k - 1, k) for k, lo, hi in runs)
+
+
 def pinned_filter_hom(a, b):
     """The maps of all morphisms a -> b by generate-and-filter over the
-    pinned candidates: every weakly increasing filling of the unit blocks
-    of fsk._hom_blocks is tested with the direct bracket check, in
+    pinned candidates: every weakly increasing filling of the runs of
+    pinned_runs is tested with the direct bracket check, in
     lexicographic order."""
-    blocks = _hom_blocks(a, b)
-    if blocks is None:
+    runs = pinned_runs(a, b)
+    if runs is None:
         return []
     out = []
     for parts in product(*(combinations_with_replacement(range(lo, hi), k)
-                           for k, lo, hi in blocks)):
+                           for k, lo, hi in runs)):
         phi = MonotoneMap(a.m, b.m, (0,) + tuple(chain.from_iterable(parts)))
         if _bracket_direct_ok(phi, a.s, b.s):
             out.append(phi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the focused sequent calculus
+#
+# A second description of Fsk, after Uustalu, Veltri and Zeilberger, "The
+# sequent calculus of skew monoidal categories": a morphism A -> B is a
+# focused derivation of the sequent A | ⊢ B.  A sequent S | Γ ⊢ C has a
+# stoup S (one formula, or None for empty), a context Γ (a tuple of
+# formulas) and a goal C; formulas are the Leaf and Node trees above.
+# ---------------------------------------------------------------------------
+
+
+def focused_count(a, b):
+    """The number of focused derivations of object_tree(a) | ⊢
+    object_tree(b), which is the size of hom(a, b).
+
+    Left phase: I in the stoup becomes the empty stoup (IL); A⊗B becomes
+    stoup A with B pushed onto the front of Γ (⊗L); an atom or an empty
+    stoup goes to the right phase.  Right phase: X | ⊢ X (ax), − | ⊢ I
+    (IR); ⊗R splits Γ at each point k into a left premise S | Γ[:k] ⊢ A,
+    in the right phase and not beginning with pass, and a right premise
+    − | Γ[k:] ⊢ B in the left phase; with an empty stoup, pass moves the
+    first formula of Γ into the stoup and returns to the left phase."""
+
+    @cache
+    def left(stoup, context, goal):
+        if stoup == Leaf("I"):
+            return left(None, context, goal)
+        if isinstance(stoup, Node):
+            return left(stoup.left, (stoup.right,) + context, goal)
+        return right(stoup, context, goal, True)
+
+    @cache
+    def right(stoup, context, goal, may_pass):
+        count = 0
+        if may_pass and stoup is None and context:
+            count += left(context[0], context[1:], goal)
+        if isinstance(goal, Node):
+            count += sum(right(stoup, context[:k], goal.left, False)
+                         * left(None, context[k:], goal.right)
+                         for k in range(len(context) + 1))
+        elif not context:
+            count += stoup == goal or (stoup is None and goal == Leaf("I"))
+        return count
+
+    return left(object_tree(a), (), object_tree(b))
 
 
 # ---------------------------------------------------------------------------

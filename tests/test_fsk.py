@@ -48,7 +48,6 @@ from freeskew.fsk import (
     factor_injection,
     factor_surjection,
     hom,
-    hom_candidate_count,
     identity,
     is_fsk_injection,
     is_fsk_surjection,
@@ -70,8 +69,10 @@ from oracles import (
     all_objects,
     bij_ok_oracle,
     brute_hom,
+    candidate_count,
     direct_min_ok,
     filter_hom,
+    focused_count,
     generator_positions_loop_check,
     graft_tensor,
     inj_def_brackets_ok,
@@ -80,6 +81,7 @@ from oracles import (
     objects_up_to,
     opposite_oracle,
     pinned_filter_hom,
+    pinned_runs,
     scan_search_ok,
     shrink_oracle,
     surj_def_brackets_ok,
@@ -805,7 +807,7 @@ class TestHom:
                 morphisms = hom(a, b)
                 assert all(f.src == a and f.dst == b for f in morphisms)
                 assert [f.map for f in morphisms] == brute_hom(a, b)
-                assert hom_candidate_count(a, b) == sum(
+                assert candidate_count(a, b) == sum(
                     bij_ok_oracle(phi, a.u, b.u)
                     for phi in all_bottom_maps(a.m, b.m))
 
@@ -839,7 +841,7 @@ class TestHom:
             m = rng.randint(10, 12)
             grade = rng.randint(0, 2)
             a, b = word(m, grade), word(m, grade)
-            if not 0 < hom_candidate_count(a, b) <= 100_000:
+            if not 0 < candidate_count(a, b) <= 100_000:
                 continue
             pairs += 1
             morphisms = hom(a, b)
@@ -886,7 +888,7 @@ class TestHom:
             assert len(listed) == morphisms
             assert calls == {"_scan_end": morphisms, "_bracket_direct_ok": 0,
                              "is_morphism": 0}
-            assert hom_candidate_count(a, b) == candidates
+            assert candidate_count(a, b) == candidates
             assert all(fsk._bracket_direct_ok(f.map, a.s, b.s) for f in listed)
 
     def test_candidate_count_is_a_product_of_blocks(self):
@@ -894,11 +896,79 @@ class TestHom:
         # and one in (4, 6]
         a = obj(7, (2, 5), range(7))
         b = obj(7, (2, 4), range(7))
-        assert hom_candidate_count(a, b) == 3 * 3 * 2
-        assert hom_candidate_count(a, obj(7, (2, 6), range(7))) == 0
-        assert hom_candidate_count(a, obj(7, (2,), range(7))) == 0
-        assert hom_candidate_count(X, obj(2, (1,), (0, 1))) == 0
-        assert hom_candidate_count(II, II) == 2
+        assert pinned_runs(a, b) == [(1, 0, 3), (1, 2, 3), (2, 3, 5),
+                                     (1, 4, 5), (1, 5, 7)]
+        assert candidate_count(a, b) == 3 * 3 * 2
+        assert candidate_count(a, obj(7, (2, 6), range(7))) == 0
+        assert candidate_count(a, obj(7, (2,), range(7))) == 0
+        assert candidate_count(X, obj(2, (1,), (0, 1))) == 0
+        assert candidate_count(II, II) == 2
+
+    def test_search_steps_are_bounded(self, monkeypatch):
+        # dead prefixes count: the search takes 42,351 steps to list the
+        # one morphism of this pair
+        a = parse_object("(((I I) ((I I) (I (I (I I))))) (I ((I X) X)))")
+        b = parse_object("(((I ((I ((I I) ((I I) I))) (I (I X)))) I) X)")
+        assert len(hom(a, b)) == 1
+        monkeypatch.setattr(fsk, "MAX_HOM_STEPS", 40_000)
+        with pytest.raises(InputError, match="MAX_HOM_STEPS = 40000"):
+            hom(a, b)
+
+    def test_listed_letters_are_bounded(self, monkeypatch):
+        # listed letters count: 1,522 morphisms of 40 + 40 letters each
+        a = parse_object(right_comb(40).replace("X", "I"))
+        b = parse_object(left_comb(40).replace("X", "I"))
+        monkeypatch.setattr(fsk, "MAX_HOM_STEPS", 1522 * 80)
+        assert len(hom(a, b)) == 1522
+        monkeypatch.setattr(fsk, "MAX_HOM_STEPS", 1522 * 80 - 1)
+        with pytest.raises(InputError, match="MAX_HOM_STEPS"):
+            hom(a, b)
+
+
+class TestFocusedCount:
+    """The focused sequent calculus of tests/oracles.py is a second
+    description of Fsk: its derivations count hom-sets."""
+
+    def test_matches_hom_exhaustive(self):
+        # every pair with m, n <= 4, different grades included
+        objs = objects_up_to(4)
+        for a in objs:
+            for b in objs:
+                assert focused_count(a, b) == len(hom(a, b)), (a, b)
+
+    def test_matches_hom_sampled(self):
+        # pairs of 2 to 14 letters with 0 to 3 generators
+        rng = random.Random(1522)
+
+        def word(m, grade):
+            u = set(rng.sample(range(m), grade))
+            return parse_object(random_word(
+                rng, ["X" if j in u else "I" for j in range(m)]))
+
+        for _ in range(200):
+            grade = rng.randint(0, 3)
+            a = word(rng.randint(max(2, grade), 14), grade)
+            b = word(rng.randint(max(2, grade), 14), grade)
+            count = focused_count(a, b)
+            if count * (a.m + b.m) > fsk.MAX_HOM_STEPS:
+                # past the letters hom may list
+                with pytest.raises(InputError, match="MAX_HOM_STEPS"):
+                    hom(a, b)
+            else:
+                assert count == len(hom(a, b)), (a, b)
+
+    @pytest.mark.parametrize("n, count", [(10, 82), (12, 122), (20, 362),
+                                          (40, 1522)])
+    def test_unit_combs(self, n, count):
+        a = parse_object(right_comb(n).replace("X", "I"))
+        b = parse_object(left_comb(n).replace("X", "I"))
+        assert focused_count(a, b) == count
+
+    def test_left_premise_does_not_pass(self):
+        # a left premise of ⊗R that could begin with pass would count the
+        # one morphism twice
+        a, b = parse_object("(X X)"), parse_object("(X (X I))")
+        assert focused_count(a, b) == len(hom(a, b)) == 1
 
 
 class TestFactorSurjection:

@@ -362,18 +362,30 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    def test_hom_size_cap(self, capsys, monkeypatch):
-        def refuse(a, b):
-            raise AssertionError("enumerated past the cap")
-        monkeypatch.setattr(cli, "hom", refuse)
-        units = "(" * 39 + "I" + " I)" * 39  # C(78, 39) candidate maps
-        # 10,626 candidate maps between words of 805 and 820 letters
+    def test_hom_size_cap(self, capsys):
+        # hom refuses past its own budget: the left comb of 40 I against
+        # itself has C(78, 39) morphisms, and the search between words of
+        # 805 and 820 letters lists more than the budget's letters
+        units = "(" * 39 + "I" + " I)" * 39
         short = "(I " * 5 + "(X " * 799 + "X" + ")" * 804
         long = "(I " * 20 + "(X " * 799 + "X" + ")" * 819
         for src, dst in [(units, units), (short, long)]:
             code, out, err = run(capsys, "hom", src, dst)
             assert code == 1 and out == ""
-            assert err.startswith("error:") and str(cli.MAX_HOM_WORK) in err
+            assert err.startswith("error:") and "MAX_HOM_STEPS" in err
+            assert str(fsk.MAX_HOM_STEPS) in err
+
+    @pytest.mark.parametrize("n, count", [(12, 122), (40, 1522)])
+    def test_hom_lists_unit_combs(self, capsys, n, count):
+        # right comb to left comb of n I: the focused count of
+        # tests/oracles.py gives the same numbers
+        right = "(I " * (n - 1) + "I" + ")" * (n - 1)
+        left = "(" * (n - 1) + "I" + " I)" * (n - 1)
+        code, out, err = run(capsys, "hom", right, left)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == len(set(lines)) == count
+        assert all(line.startswith(f"{right} -> {left} ; 0,") for line in lines)
 
     def test_operad_arity_cap(self, capsys, monkeypatch):
         def refuse(*args):
