@@ -7,6 +7,13 @@ by their number of generators gives strict operad maps down to this
 operad and on to the terminal one, and the grading map has a left
 adjoint H computed here explicitly, together with its counit and the
 comparison maps making H colax.
+
+H and its colax comparisons depend only on operad elements, at most two
+per arity, and a slot, so h_of and h_colax sit in the shape tier next to
+the elements themselves: each is built, and its contracts checked, once
+per key.  A failed check raises on every call and is never cached.  The
+counit and hom are not cached: the counit follows its word, which
+queries rarely repeat, and a hom-set is a list of any length.
 """
 
 from __future__ import annotations
@@ -160,6 +167,7 @@ def terminal_in_grade(m: int) -> FskObject:
     return dual(initial_in_grade(m))
 
 
+@shape_cache
 def h_of(x: LElement) -> FskObject:
     """The left adjoint of the grading-with-kind map, on objects.
 
@@ -197,6 +205,7 @@ def h_of_lambda(n: int) -> FskMorphism:
                    f"hom-set of H(l{n} <= t{n})")
 
 
+@shape_cache
 def h_colax(x: LElement, i: int, y: LElement) -> FskMorphism:
     """The colax comparison H(x o_i y) -> H(x) o_i H(y).
 

@@ -28,9 +28,10 @@ from typing import Sequence
 # asks for the same few again and again, and the bound holds every key it
 # meets (the 8-leaf axiom sweep meets 2,047 tensor bracketings).  Value
 # caches hold what point queries compute from their own input:
-# transported bracketings, tensors of objects, text forms.  Their hits
-# come from within one query, so a few recent queries' worth keeps
-# nearly all of them, and a miss costs one linear pass.
+# transported bracketings, tensors of objects, text forms and the
+# triples read from them.  Their hits come from within one query, or
+# from a query repeated among recent ones, so a few recent queries'
+# worth keeps nearly all of them, and a miss costs one linear pass.
 SHAPE_CACHE_SIZE = 4096
 VALUE_CACHE_SIZE = 512
 shape_cache = lru_cache(maxsize=SHAPE_CACHE_SIZE)

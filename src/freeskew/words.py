@@ -8,6 +8,11 @@ with arbitrary whitespace between tokens; pairs are strictly binary.
 Words are read into triples and written from them without recursion.
 A word has no other form in the package: there is no bracket tree, and
 text, JSON and triples are the only ways a word enters or leaves.
+
+A word's triple depends only on its text, so parse_object sits in the
+value tier with format_object: a text read again, within one query or
+among recent ones, returns the triple read before.  A malformed text
+raises on every call and is never cached.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ class WordSyntaxError(InputError):
         self.offset = offset
 
 
+@value_cache
 def parse_object(text: str) -> FskObject:
     """Parse a bracketed word into its triple; raises WordSyntaxError with
     a byte offset.

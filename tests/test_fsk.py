@@ -439,12 +439,14 @@ class TestCachePolicy:
              "fsk._inclusion_map", "fsk._tensor_lbf",
              "tamari.tamari_opposite", "ordmaps.ordinal_sum",
              "ordmaps._dual_map", "operads._l_element",
+             "operads.h_of", "operads.h_colax",
              "tamari.enumerate_tamari"}
     # values computed from a query's own input, reused within the query
+    # or by a query repeated among recent ones
     VALUE = {"tamari.lbf_to_rbf",
              "tamari.conjugate_surj", "tamari.conjugate_inj",
              "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
-             "words.format_object"}
+             "words.format_object", "words.parse_object"}
     # what the caches may hold after the queries below, which leave about
     # 1 MiB in them on CPython 3.11
     MAX_CACHED_BYTES = 3 * 2 ** 20

@@ -302,9 +302,32 @@ class TestColaxComparison:
         assert s_circ(h_of(t2), 2, h_colax(t2, 1, t2).dst) == one_step.dst
 
 
+class TestCachedConstructions:
+    """H and its colax comparisons are kept in the shape tier: each hit
+    is the value an uncached call builds, shared."""
+
+    def test_match_uncached_and_repeat_shared(self):
+        elements = l_elements(5)
+        for x in elements:
+            assert h_of(x) == h_of.__wrapped__(x)
+            assert h_of(x) is h_of(x)
+            for i in range(1, x.arity + 1):
+                for y in elements:
+                    comparison = h_colax(x, i, y)
+                    assert comparison == h_colax.__wrapped__(x, i, y)
+                    assert h_colax(x, i, y) is comparison
+
+
 class TestContracts:
     """The uniqueness and shape promises are checks that raise
     RuntimeError, a library fault, not InputError, a usage error."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        # a cached H or comparison would return before reaching the
+        # faults injected below
+        operads.h_of.cache_clear()
+        operads.h_colax.cache_clear()
 
     @pytest.mark.parametrize("found", [[], [identity(X), identity(X)]],
                              ids=["none", "two"])

@@ -70,6 +70,28 @@ class TestParseWord:
         assert parse_object("((I   X)\tX)") == parse_object("((I X) X)")
 
 
+class TestParseCache:
+    """parse_object is in the value tier: a text read again returns the
+    triple read before, and a malformed text raises again."""
+
+    def test_repeat_returns_the_parsed_object(self):
+        # every word of up to 6 letters, and the 1,501-letter combs
+        texts = [tree_text(object_tree(a)) for a in objects_up_to(6)]
+        for text in texts + [LEFT_COMB, RIGHT_COMB]:
+            a = parse_object(text)
+            assert a == parse_object.__wrapped__(text)
+            assert parse_object(text) is a
+
+    @pytest.mark.parametrize("text", ["", "(X X", "X)", "(X Y)", "(X X X)"])
+    def test_malformed_words_raise_again(self, text):
+        raised = []
+        for parse in (parse_object, parse_object, parse_object.__wrapped__):
+            with pytest.raises(WordSyntaxError) as err:
+                parse(text)
+            raised.append((str(err.value), err.value.offset))
+        assert raised[0] == raised[1] == raised[2]
+
+
 class TestFormatWord:
     def test_examples(self):
         assert format_object(parse_object("((I X) X)")) == "((I X) X)"
