@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 
 from .ordmaps import InputError
-from .tamari import iter_tamari, tamari_join, tamari_leq
+from .tamari import Lbf, iter_tamari, tamari_join, tamari_leq
 from . import fsk
 from .fsk import (
     FskMorphism,
+    FskObject,
     axiom_alpha_lambda,
     axiom_alpha_rho,
     axiom_lambda_rho,
@@ -66,56 +68,55 @@ def _verdict(flag: bool) -> int:
     return 0 if flag else 2
 
 
-def _cmd_tamari_enum(args) -> int:
+# the (text, JSON) forms of each kind of value, indexed by args.json
+_FORMS = {
+    FskObject: (format_object, object_to_json),
+    FskMorphism: (format_morphism, morphism_to_json),
+    Lbf: (lambda s: format_values(s.values), lambda s: list(s.values)),
+}
+
+
+def _emit(args, result) -> None:
+    """Write a command's result to stdout, as text or, under --json, JSON.
+
+    A word, a morphism or an lbf is one line.  A dict is one labelled
+    line per entry, or one JSON object.  Any other iterable is written
+    one item at a time, as lines or as the array dump_json gives the
+    list, so that a long listing is never held whole as text.
+    """
+    def form(value):
+        if isinstance(value, dict):
+            if args.json:
+                return {key: form(item) for key, item in value.items()}
+            return "\n".join(f"{key}: {form(item)}"
+                             for key, item in value.items())
+        forms = _FORMS.get(type(value))
+        return forms[args.json](value) if forms else value
+
+    if isinstance(result, (dict, *_FORMS)):
+        print(dump_json(form(result)) if args.json else form(result))
+    elif args.json:
+        opener = "["
+        for item in result:
+            sys.stdout.write(opener + dump_json(form(item)))
+            opener = ","
+        print("[]" if opener == "[" else "]")
+    else:
+        for item in result:
+            print(form(item))
+
+
+def _cmd_tamari_enum(args) -> Iterator[Lbf]:
     if args.m > MAX_TAMARI_ENUM:
         raise InputError(f"tamari enum takes M <= {MAX_TAMARI_ENUM}")
-    lbfs = iter_tamari(args.m)
-    if args.json:
-        # the array dump_json would write, one lbf at a time
-        opener = "["
-        for lbf in lbfs:
-            sys.stdout.write(opener + dump_json(list(lbf.values)))
-            opener = ","
-        print("]")
-    else:
-        for lbf in lbfs:
-            print(format_values(lbf.values))
-    return 0
+    return iter_tamari(args.m)
 
 
-def _cmd_tamari_join(args) -> int:
-    joined = tamari_join(parse_lbf(args.a), parse_lbf(args.b))
-    if args.json:
-        print(dump_json(list(joined.values)))
-    else:
-        print(format_values(joined.values))
-    return 0
-
-
-def _cmd_tamari_leq(args) -> int:
-    return _verdict(tamari_leq(parse_lbf(args.a), parse_lbf(args.b)))
-
-
-def _cmd_obj_parse(args) -> int:
+def _cmd_obj_parse(args) -> FskObject | dict:
     obj = parse_object(args.word)
     if args.json:
-        print(dump_json(object_to_json(obj)))
-    else:
-        print(f"word: {format_object(obj)}")
-        print(f"m: {obj.m}")
-        print(f"u: {format_values(obj.u)}")
-        print(f"lbf: {format_values(obj.s.values)}")
-    return 0
-
-
-def _cmd_hom(args) -> int:
-    morphisms = hom(parse_object(args.src), parse_object(args.dst))
-    if args.json:
-        print(dump_json([morphism_to_json(f) for f in morphisms]))
-    else:
-        for f in morphisms:
-            print(format_morphism(f))
-    return 0
+        return obj
+    return {"word": obj, "m": obj.m, "u": format_values(obj.u), "lbf": obj.s}
 
 
 def _cmd_check(args) -> int:
@@ -126,34 +127,21 @@ def _cmd_check(args) -> int:
     return _verdict(is_morphism(src, dst, phi, mode))
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> FskMorphism:
     src = parse_object(args.src)
     mid = parse_object(args.mid)
     dst = parse_object(args.dst)
     f = FskMorphism(src, mid, parse_map(args.map1, mid.m))
     g = FskMorphism(mid, dst, parse_map(args.map2, dst.m))
-    composite = fsk.compose(g, f)
-    if args.json:
-        print(dump_json(morphism_to_json(composite)))
-    else:
-        print(format_morphism(composite))
-    return 0
+    return fsk.compose(g, f)
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> dict:
     src = parse_object(args.src)
     dst = parse_object(args.dst)
     f = FskMorphism(src, dst, parse_map(args.map, dst.m))
     surj, middle, inj = factor_general(f)
-    if args.json:
-        print(dump_json({"surjection": morphism_to_json(surj),
-                         "middle": object_to_json(middle),
-                         "injection": morphism_to_json(inj)}))
-    else:
-        print(f"surjection: {format_morphism(surj)}")
-        print(f"middle: {format_object(middle)}")
-        print(f"injection: {format_morphism(inj)}")
-    return 0
+    return {"surjection": surj, "middle": middle, "injection": inj}
 
 
 def _object_tuples(total: int, count: int):
@@ -208,119 +196,68 @@ def _element(text: str) -> LElement:
     return x
 
 
-def _cmd_operad_h(args) -> int:
-    obj = h_of(_element(args.element))
-    if args.json:
-        print(dump_json(object_to_json(obj)))
-    else:
-        print(format_object(obj))
-    return 0
+# argument specs shared by several commands
+_JSON = ("--json", {"action": "store_true",
+                    "help": "emit JSON instead of text"})
+_MODE = ("--mode", {"default": "direct",
+                    "choices": [mode.replace("_", "-") for mode in fsk.MODES]})
 
+_GROUPS = {"tamari": "Tamari lattice operations",
+           "obj": "object operations",
+           "operad": "graded operad operations"}
 
-def _cmd_operad_counit(args) -> int:
-    component = counit_at(parse_object(args.word))
-    if args.json:
-        print(dump_json(morphism_to_json(component)))
-    else:
-        print(format_morphism(component))
-    return 0
-
-
-def _cmd_operad_colax(args) -> int:
-    component = h_colax(_element(args.x), args.i, _element(args.y))
-    if args.json:
-        print(dump_json(morphism_to_json(component)))
-    else:
-        print(format_morphism(component))
-    return 0
-
-
-def _add_json_flag(parser) -> None:
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON instead of text")
+# Each command: its words, its help, its arguments (a name, or a name
+# and add_argument's keywords) and its handler.  A handler returns an
+# exit code, or a result that _emit writes, with exit code 0.  Handlers
+# look up the library functions when they run, so tests can replace them.
+_COMMANDS = [
+    ("tamari enum", "list all lbfs on ord M", [("m", {"type": int}), _JSON],
+     _cmd_tamari_enum),
+    ("tamari join", "join of two lbfs", ["a", "b", _JSON],
+     lambda args: tamari_join(parse_lbf(args.a), parse_lbf(args.b))),
+    ("tamari leq", "compare two lbfs", ["a", "b"],
+     lambda args: _verdict(tamari_leq(parse_lbf(args.a), parse_lbf(args.b)))),
+    ("obj parse", "parse a word into a triple", ["word", _JSON],
+     _cmd_obj_parse),
+    ("hom", "enumerate all morphisms SRC -> DST", ["src", "dst", _JSON],
+     lambda args: hom(parse_object(args.src), parse_object(args.dst))),
+    ("check", "decide whether MAP is a morphism", ["src", "dst", "map", _MODE],
+     _cmd_check),
+    ("compose", "compose SRC -MAP1-> MID -MAP2-> DST",
+     ["src", "mid", "dst", "map1", "map2", _JSON], _cmd_compose),
+    ("factor", "surjection/injection factorization of MAP",
+     ["src", "dst", "map", _JSON], _cmd_factor),
+    ("axioms", "check the five coherence axioms",
+     [("--max-leaves", {"type": int, "default": 6,
+                        "help": "total leaf count bound for object tuples"})],
+     _cmd_axioms),
+    ("operad h", "the word freely built from tN or lN", ["element", _JSON],
+     lambda args: h_of(_element(args.element))),
+    ("operad counit", "counit component at a word", ["word", _JSON],
+     lambda args: counit_at(parse_object(args.word))),
+    ("operad colax", "colax comparison at (X, I, Y)",
+     ["x", ("i", {"type": int}), "y", _JSON],
+     lambda args: h_colax(_element(args.x), args.i, _element(args.y))),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="freeskew",
                      description="computations in the free skew monoidal "
                                  "category on one generator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    tamari = sub.add_parser("tamari", help="Tamari lattice operations")
-    tamari_sub = tamari.add_subparsers(dest="subcommand", required=True)
-    enum = tamari_sub.add_parser("enum", help="list all lbfs on ord M")
-    enum.add_argument("m", type=int)
-    _add_json_flag(enum)
-    enum.set_defaults(handler=_cmd_tamari_enum)
-    join = tamari_sub.add_parser("join", help="join of two lbfs")
-    join.add_argument("a")
-    join.add_argument("b")
-    _add_json_flag(join)
-    join.set_defaults(handler=_cmd_tamari_join)
-    leq = tamari_sub.add_parser("leq", help="compare two lbfs")
-    leq.add_argument("a")
-    leq.add_argument("b")
-    leq.set_defaults(handler=_cmd_tamari_leq)
-
-    obj = sub.add_parser("obj", help="object operations")
-    obj_sub = obj.add_subparsers(dest="subcommand", required=True)
-    obj_parse = obj_sub.add_parser("parse", help="parse a word into a triple")
-    obj_parse.add_argument("word")
-    _add_json_flag(obj_parse)
-    obj_parse.set_defaults(handler=_cmd_obj_parse)
-
-    hom_cmd = sub.add_parser("hom", help="enumerate all morphisms SRC -> DST")
-    hom_cmd.add_argument("src")
-    hom_cmd.add_argument("dst")
-    _add_json_flag(hom_cmd)
-    hom_cmd.set_defaults(handler=_cmd_hom)
-
-    check = sub.add_parser("check", help="decide whether MAP is a morphism")
-    check.add_argument("src")
-    check.add_argument("dst")
-    check.add_argument("map")
-    check.add_argument("--mode", default="direct",
-                       choices=["direct", "via-factor", "via-search"])
-    check.set_defaults(handler=_cmd_check)
-
-    comp = sub.add_parser("compose", help="compose SRC -MAP1-> MID -MAP2-> DST")
-    for name in ("src", "mid", "dst", "map1", "map2"):
-        comp.add_argument(name)
-    _add_json_flag(comp)
-    comp.set_defaults(handler=_cmd_compose)
-
-    factor = sub.add_parser("factor",
-                            help="surjection/injection factorization of MAP")
-    factor.add_argument("src")
-    factor.add_argument("dst")
-    factor.add_argument("map")
-    _add_json_flag(factor)
-    factor.set_defaults(handler=_cmd_factor)
-
-    axioms = sub.add_parser("axioms", help="check the five coherence axioms")
-    axioms.add_argument("--max-leaves", type=int, default=6,
-                        help="total leaf count bound for object tuples")
-    axioms.set_defaults(handler=_cmd_axioms)
-
-    operad = sub.add_parser("operad", help="graded operad operations")
-    operad_sub = operad.add_subparsers(dest="subcommand", required=True)
-    h_cmd = operad_sub.add_parser("h", help="the word freely built from tN or lN")
-    h_cmd.add_argument("element")
-    _add_json_flag(h_cmd)
-    h_cmd.set_defaults(handler=_cmd_operad_h)
-    counit = operad_sub.add_parser("counit",
-                                   help="counit component at a word")
-    counit.add_argument("word")
-    _add_json_flag(counit)
-    counit.set_defaults(handler=_cmd_operad_counit)
-    colax = operad_sub.add_parser("colax",
-                                  help="colax comparison at (X, I, Y)")
-    colax.add_argument("x")
-    colax.add_argument("i", type=int)
-    colax.add_argument("y")
-    _add_json_flag(colax)
-    colax.set_defaults(handler=_cmd_operad_colax)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, arguments, handler in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in groups:  # at the group's first command
+            groups[group] = groups[""].add_parser(
+                group, help=_GROUPS[group]
+            ).add_subparsers(dest="subcommand", required=True)
+        command = groups[group].add_parser(name, help=help_text)
+        for argument in arguments:
+            flag, options = ((argument, {}) if isinstance(argument, str)
+                             else argument)
+            command.add_argument(flag, **options)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -329,6 +266,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.handler(args)
+        if not isinstance(code, int):  # a result for _emit to write
+            _emit(args, code)
+            code = 0
         sys.stdout.flush()  # so a closed pipe surfaces here, not at exit
         return code
     except BrokenPipeError:

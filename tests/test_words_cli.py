@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from freeskew.ordmaps import InputError, MonotoneMap
 from freeskew.fsk import hom, lambda_, rho, tensor, GENERATOR as X, UNIT as I
 from freeskew.words import (
     WordSyntaxError,
+    dump_json,
     format_morphism,
     format_object,
     morphism_from_json,
@@ -218,14 +221,51 @@ class TestCli:
         assert out.splitlines() == ["(I I) -> (I I) ; 0,0", "(I I) -> (I I) ; 0,1"]
         code, out, _ = run(capsys, "hom", "(X I)", "X")
         assert code == 0 and out == ""
+        code, out, _ = run(capsys, "hom", "(X I)", "X", "--json")
+        assert code == 0 and out == "[]\n"
 
     def test_check_modes_and_exit_codes(self, capsys):
-        for mode in ("direct", "via-factor", "via-search"):
+        # every mode the library decides by is a CLI choice, dashed
+        for mode in fsk.MODES:
             code, out, _ = run(capsys, "check", "(I X)", "X", "0,0",
-                               "--mode", mode)
+                               "--mode", mode.replace("_", "-"))
             assert code == 0 and out.strip() == "true"
+        code, out, err = run(capsys, "check", "(I X)", "X", "0,0",
+                             "--mode", "via_search")
+        assert code == 1 and out == "" and err.startswith("usage error:")
         code, out, _ = run(capsys, "check", "(X I)", "X", "0,0")
         assert code == 2 and out.strip() == "false"
+
+    @pytest.mark.parametrize("argv, result", [
+        (("tamari", "join", "0,1,0,3", "0,0,2,3"),
+         lambda: list(tamari.tamari_join(parse_lbf("0,1,0,3"),
+                                         parse_lbf("0,0,2,3")).values)),
+        (("hom", "((I X) X)", "(I (X X))"),
+         lambda: [morphism_to_json(f) for f in
+                  hom(parse_object("((I X) X)"), parse_object("(I (X X))"))]),
+        (("hom", "(X I)", "X"),
+         lambda: [morphism_to_json(f) for f in
+                  hom(parse_object("(X I)"), parse_object("X"))]),
+        (("compose", "(I I)", "I", "(I I)", "0,0", "0"),
+         lambda: morphism_to_json(fsk.compose(
+             parse_morphism("I -> (I I) ; 0"),
+             parse_morphism("(I I) -> I ; 0,0")))),
+        (("operad", "h", "l2"),
+         lambda: object_to_json(
+             operads.h_of(operads.LElement.from_text("l2")))),
+        (("operad", "counit", "(X I)"),
+         lambda: morphism_to_json(operads.counit_at(parse_object("(X I)")))),
+        (("operad", "colax", "t2", "2", "t2"),
+         lambda: morphism_to_json(operads.h_colax(
+             operads.LElement.from_text("t2"), 2,
+             operads.LElement.from_text("t2")))),
+    ], ids=["tamari-join", "hom", "hom-empty", "compose", "operad-h",
+            "operad-counit", "operad-colax"])
+    def test_json_forms(self, capsys, argv, result):
+        # the JSON the words layer gives the library call's result
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == ""
+        assert out == dump_json(result()) + "\n"
 
     def test_compose(self, capsys):
         code, out, _ = run(capsys, "compose", "(I I)", "I", "(I I)",
@@ -459,6 +499,23 @@ class TestCli:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (141, b"")
+
+
+class TestConsoleScript:
+    def test_freeskew_runs_cli_main(self):
+        # read with a regex: Python 3.10 has no tomllib
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as f:
+            text = f.read()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                            text, re.M | re.S)
+        assert section
+        target = re.search(r'^freeskew\s*=\s*"([^"]*)"', section.group(1),
+                           re.M)
+        assert target and target.group(1) == "freeskew.cli:main"
+        module, _, name = target.group(1).partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry is cli.main and callable(entry)
 
 
 class TestBoundary:
