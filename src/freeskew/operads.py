@@ -179,9 +179,12 @@ def h_of(x: LElement) -> FskObject:
     return FskObject(x.arity, tuple(range(x.arity)), tamari_bottom(x.arity))
 
 
-def _unique(morphisms: list[FskMorphism], what: str) -> FskMorphism:
+def _unique(morphisms: list[FskMorphism], what: str, subject) -> FskMorphism:
+    # what names the hom-set with a {} for subject, formatted only to
+    # raise: a successful call writes no repr
     if len(morphisms) != 1:
-        raise RuntimeError(f"{what} has {len(morphisms)} elements, expected 1")
+        raise RuntimeError(f"{what.format(subject)} has {len(morphisms)} "
+                           f"elements, expected 1")
     return morphisms[0]
 
 
@@ -191,7 +194,7 @@ def counit_at(a: FskObject) -> FskMorphism:
     The source holds only generators, after a unit when a starts with
     one, so hom pins every letter and tests a single candidate map.
     """
-    component = _unique(hom(h_of(q_of(a)), a), f"counit hom-set at {a!r}")
+    component = _unique(hom(h_of(q_of(a)), a), "counit hom-set at {!r}", a)
     if not is_fsk_injection(component.src, component.dst, component.map):
         raise RuntimeError(f"counit at {a!r} is not an Fsk-injection")
     return component
@@ -202,7 +205,7 @@ def h_of_lambda(n: int) -> FskMorphism:
     if n < 1:
         raise InputError("the comparison exists in arity >= 1 only")
     return _unique(hom(h_of(LElement(n, "l")), h_of(LElement(n, "t"))),
-                   f"hom-set of H(l{n} <= t{n})")
+                   "hom-set of H(l{0} <= t{0})", n)
 
 
 @shape_cache

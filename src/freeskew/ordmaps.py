@@ -27,11 +27,12 @@ from typing import Sequence
 # caches hold values that depend on sizes and bracketings alone; a sweep
 # asks for the same few again and again, and the bound holds every key it
 # meets (the 8-leaf axiom sweep meets 2,047 tensor bracketings).  Value
-# caches hold what point queries compute from their own input:
-# transported bracketings, tensors of objects, text forms and the
-# triples read from them.  Their hits come from within one query, or
-# from a query repeated among recent ones, so a few recent queries'
-# worth keeps nearly all of them, and a miss costs one linear pass.
+# caches hold what point queries compute from their own input: image
+# factorizations of maps, transported bracketings, tensors of objects,
+# text forms and the triples read from them.  Their hits come from
+# within one query, or from a query repeated among recent ones, so a few
+# recent queries' worth keeps nearly all of them, and a miss costs one
+# linear pass.
 SHAPE_CACHE_SIZE = 4096
 VALUE_CACHE_SIZE = 512
 shape_cache = lru_cache(maxsize=SHAPE_CACHE_SIZE)
@@ -213,8 +214,14 @@ def _dual_map(phi: MonotoneMap) -> MonotoneMap:
     return _reflect_map(right_adjoint(phi))
 
 
+@value_cache
 def epi_mono_factorize(phi: MonotoneMap) -> tuple[MonotoneMap, MonotoneMap]:
-    """Split phi into a surjection onto its image followed by an injection."""
+    """Split phi into a surjection onto its image followed by an injection.
+
+    Cached, so that the criteria and factor_general, asked about one map,
+    factor it once and share its parts; the conjugation caches keyed by
+    those parts then match their keys by identity.
+    """
     # the images increase weakly, so the image is their distinct values in
     # order, and each rank counts the steps up to its position
     images = phi.images

@@ -5,7 +5,8 @@ The word grammar is
     word := "I" | "X" | "(" word " " word ")"
 
 with arbitrary whitespace between tokens; pairs are strictly binary.
-Words are read into triples and written from them without recursion.
+Words are read into triples and written from them without recursion,
+and a word is read in one pass over its letters and parentheses.
 A word has no other form in the package: there is no bracket tree, and
 text, JSON and triples are the only ways a word enters or leaves.
 
@@ -38,41 +39,55 @@ def parse_object(text: str) -> FskObject:
     """Parse a bracketed word into its triple; raises WordSyntaxError with
     a byte offset.
 
-    The stack holds each open pair's first letter, topped by None once
-    its left word is complete, which is when the lbf takes that letter.
+    The whitespace goes first, and one pass reads what is left.  The
+    stack holds each open pair's first letter, which becomes -1 once the
+    pair's right word starts: the lbf takes that letter then, since the
+    left word ended just before.  A word starts where the top pair has
+    read a letter (top < m), and ')' closes only a pair marked -1.
     """
+    word = "".join(text.split())
     u: list[int] = []
     values: list[int] = []
-    stack: list[int | None] = []
+    stack: list[int] = []
     m = 0
-    closing = False  # a pair's right word is complete: ')' comes next
-    for pos, char in enumerate(text):
-        if char.isspace():
-            continue
-        if m and not stack:
-            raise WordSyntaxError(f"trailing input {char!r}", pos)
-        if closing:
-            if char != ")":
-                raise WordSyntaxError(f"expected ')', found {char!r}", pos)
-            del stack[-2:]
-        elif char == "(":
+    for k, char in enumerate(word):
+        if char == ")":
+            if stack and stack[-1] < 0:
+                stack.pop()
+                continue
+            message = (f"trailing input {char!r}" if m and not stack else
+                       f"expected 'I', 'X' or '(', found {char!r}")
+            raise WordSyntaxError(message, _offset(text, k))
+        if stack:
+            top = stack[-1]
+            if top < m:
+                if top < 0:
+                    raise WordSyntaxError(f"expected ')', found {char!r}",
+                                          _offset(text, k))
+                values.append(top)
+                stack[-1] = -1
+        elif m:
+            raise WordSyntaxError(f"trailing input {char!r}", _offset(text, k))
+        if char == "(":
             stack.append(m)
-            continue
-        elif char in ("I", "X"):
-            if char == "X":
-                u.append(m)
+        elif char == "X":
+            u.append(m)
+            m += 1
+        elif char == "I":
             m += 1
         else:
-            raise WordSyntaxError(
-                f"expected 'I', 'X' or '(', found {char!r}", pos)
-        closing = bool(stack) and stack[-1] is None
-        if stack and not closing:
-            values.append(stack[-1])
-            stack.append(None)
+            raise WordSyntaxError(f"expected 'I', 'X' or '(', found {char!r}",
+                                  _offset(text, k))
     if not m or stack:
-        message = "unbalanced parenthesis" if closing else "unexpected end of input"
+        message = ("unbalanced parenthesis" if stack and stack[-1] < 0
+                   else "unexpected end of input")
         raise WordSyntaxError(message, len(text))
     return FskObject(m, tuple(u), Lbf(tuple(values) + (m - 1,)))
+
+
+def _offset(text: str, k: int) -> int:
+    # the position in text of its k-th character that is not whitespace
+    return [pos for pos, char in enumerate(text) if not char.isspace()][k]
 
 
 @value_cache

@@ -31,7 +31,7 @@ from freeskew.fsk import (
     is_morphism,
     objects_on,
 )
-from freeskew.words import parse_object
+from freeskew.words import WordSyntaxError, parse_object
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -679,3 +679,52 @@ def epi_mono_sorted(phi):
     rank = {value: k for k, value in enumerate(distinct)}
     return (MonotoneMap(phi.dom, len(distinct), [rank[v] for v in phi.images]),
             MonotoneMap(len(distinct), phi.cod, tuple(distinct)))
+
+
+# ---------------------------------------------------------------------------
+# the word reader as a loop over the raw text
+#
+# parse_object drops the whitespace first and reads what is left in one
+# pass.  This is the loop it replaced, which steps over the whitespace
+# and keeps a flag for a pair whose right word is complete.
+# ---------------------------------------------------------------------------
+
+
+def parse_object_loop(text):
+    """The triple of a word, or the WordSyntaxError parse_object raises.
+
+    The stack holds each open pair's first letter, topped by None once
+    its left word is complete, which is when the lbf takes that letter.
+    """
+    u = []
+    values = []
+    stack = []
+    m = 0
+    closing = False  # a pair's right word is complete: ')' comes next
+    for pos, char in enumerate(text):
+        if char.isspace():
+            continue
+        if m and not stack:
+            raise WordSyntaxError(f"trailing input {char!r}", pos)
+        if closing:
+            if char != ")":
+                raise WordSyntaxError(f"expected ')', found {char!r}", pos)
+            del stack[-2:]
+        elif char == "(":
+            stack.append(m)
+            continue
+        elif char in ("I", "X"):
+            if char == "X":
+                u.append(m)
+            m += 1
+        else:
+            raise WordSyntaxError(
+                f"expected 'I', 'X' or '(', found {char!r}", pos)
+        closing = bool(stack) and stack[-1] is None
+        if stack and not closing:
+            values.append(stack[-1])
+            stack.append(None)
+    if not m or stack:
+        message = "unbalanced parenthesis" if closing else "unexpected end of input"
+        raise WordSyntaxError(message, len(text))
+    return FskObject(m, tuple(u), Lbf(tuple(values) + (m - 1,)))

@@ -446,7 +446,8 @@ class TestCachePolicy:
     VALUE = {"tamari.lbf_to_rbf",
              "tamari.conjugate_surj", "tamari.conjugate_inj",
              "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
-             "words.format_object", "words.parse_object"}
+             "words.format_object", "words.parse_object",
+             "ordmaps.epi_mono_factorize"}
     # what the caches may hold after the queries below, which leave about
     # 1 MiB in them on CPython 3.11
     MAX_CACHED_BYTES = 3 * 2 ** 20
@@ -499,6 +500,30 @@ class TestCachePolicy:
         # caches is small
         assert stats["tamari.conjugate_surj"]["misses"] > VALUE_CACHE_SIZE
         assert cached < self.MAX_CACHED_BYTES, cached
+
+    def test_one_factorization_per_query(self):
+        # the criteria and factor_general, asked about one map, factor it
+        # once and share its parts; the verdicts are those of cold caches
+        src = parse_object("((X I) (I X))")
+        for word, images, expected in (("(X ((I I) (X I)))", (0, 1, 3, 3), True),
+                                       ("((X I) (I (X I)))", (0, 1, 1, 3), False)):
+            dst = parse_object(word)
+            phi = MonotoneMap(4, 5, images)
+            cold = []
+            for mode in MODES:
+                clear_caches()
+                cold.append(is_morphism(src, dst, phi, mode))
+            clear_caches()
+            verdicts = [is_morphism(src, dst, phi, mode) for mode in MODES]
+            if expected:
+                surj, _, inj = factor_general(FskMorphism(src, dst, phi))
+            info = ordmaps.epi_mono_factorize.cache_info()
+            assert (info.misses, info.hits) == (1, 2 if expected else 1)
+            sigma, delta = ordmaps.epi_mono_factorize(phi)
+            assert (sigma, delta) == ordmaps.epi_mono_factorize.__wrapped__(phi)
+            assert verdicts == cold == [expected] * len(MODES)
+            if expected:
+                assert surj.map is sigma and inj.map is delta
 
     def test_stats_follow_the_package_name(self, tmp_path):
         # a copy of the package loaded under another name reports its own

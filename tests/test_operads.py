@@ -265,6 +265,17 @@ class TestCounit:
         for a in objects_up_to(4):
             assert classify(counit_at(a)).is_fsk_injection
 
+    def test_success_writes_no_repr(self, monkeypatch):
+        # the uniqueness message names the object, and is built only to
+        # raise
+        def no_repr(self):
+            raise AssertionError("repr of an object on a successful call")
+
+        monkeypatch.setattr(FskObject, "__repr__", no_repr)
+        for a in objects_up_to(4):
+            assert counit_at(a).dst == a
+        assert h_of_lambda(3).dst == h_of(LElement(3, "t"))
+
 
 class TestColaxComparison:
     def test_first_slot_is_identity(self):
@@ -335,7 +346,8 @@ class TestContracts:
         monkeypatch.setattr(operads, "hom", lambda a, b: found)
         with pytest.raises(RuntimeError, match=f"{len(found)} elements"):
             counit_at(X)
-        with pytest.raises(RuntimeError, match=f"{len(found)} elements"):
+        with pytest.raises(RuntimeError,
+                           match=rf"^hom-set of H\(l2 <= t2\) has {len(found)} elements"):
             h_of_lambda(2)
 
     def test_counit_must_be_an_injection(self, monkeypatch):

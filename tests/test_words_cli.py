@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -33,6 +34,7 @@ from oracles import (
     format_object_counter,
     object_tree,
     objects_up_to,
+    parse_object_loop,
     tree_of_text,
     tree_text,
     tree_to_lbf,
@@ -71,6 +73,38 @@ class TestParseWord:
 
     def test_whitespace_insensitive(self):
         assert parse_object("((I   X)\tX)") == parse_object("((I X) X)")
+
+
+def parse_outcome(parse, text):
+    """The object a parse returns, or the message and offset it raises."""
+    try:
+        return parse(text)
+    except WordSyntaxError as err:
+        return str(err), err.offset
+
+
+class TestParseOracle:
+    """parse_object drops whitespace and reads the rest in one pass; the
+    loop over the raw text is the reference, errors and offsets included."""
+
+    def test_every_short_string(self):
+        # every string of up to 6 characters over ( ) I X space tab
+        texts = ["".join(chars) for length in range(7)
+                 for chars in product("()IX \t", repeat=length)]
+        assert len(texts) == 55987
+        for text in texts:
+            assert (parse_outcome(parse_object.__wrapped__, text)
+                    == parse_outcome(parse_object_loop, text)), text
+
+    @pytest.mark.parametrize("text", [
+        LEFT_COMB, RIGHT_COMB,
+        "(" * 29999 + "X" + " X)" * 29999, "(X " * 29999 + "X" + ")" * 29999,
+        "", "(X X", "X)", "(X Y)", "(X X X)"],
+        ids=["left-1501", "right-1501", "left-30000", "right-30000",
+             "empty", "open", "close", "letter", "ternary"])
+    def test_combs_and_malformed_words(self, text):
+        assert (parse_outcome(parse_object.__wrapped__, text)
+                == parse_outcome(parse_object_loop, text))
 
 
 class TestParseCache:
