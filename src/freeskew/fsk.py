@@ -29,18 +29,15 @@ and composites, tensors and duals of morphisms, which the paper's
 theorems make morphisms again (tests/test_fsk.py checks that closure
 exhaustively on small objects).  Duality spares code: factor_injection
 is factor_surjection on the dual, as is_swell is the shrink check on the
-reversed objects; rho, is_fsk_injection and conjugate_inj keep kernels
-of their own, since the axiom, hom and criteria paths call them.
-Tensors of objects, lambda_ and rho sit in the value tier of the cache
-policy (ordmaps.value_cache), and a miss runs every check again;
-identities and alpha are built on each call.  Values that depend only
-on shape sit in the shape tier (ordmaps.shape_cache), which holds every
-shape a sweep meets, one checked instance each: the bracketing of a
-tensor is keyed by the two bracketings, the mirrored bracketing of dual
-by the bracketing, block sums and the maps of duals (ordmaps._dual_map,
-the reflected right adjoint) by their maps, and the identity, collapse
-and inclusion maps by size; a composite with a shared identity is the
-other map itself.
+reversed objects.  rho, is_fsk_injection and tamari.conjugate_inj keep
+kernels of their own, since each dual route took more CPU time in paired
+in-process passes of the bench ops (CPython 3.11, shared 2-core x86-64
+VM): rho as dual(lambda_(dual(a))) 1.58-1.61x on the first 20,000
+axioms ops (8 pairs in each load order); is_fsk_injection as the test of
+is_fsk_surjection on the reversed parts, and conjugate_inj as the
+opposite of conjugate_surj on the dual map, 1.07-1.08x on 8,000
+criteria ops (10 pairs in each order).  The cache tier of each
+construction, and why, is set out above identity.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from .tamari import (
     conjugate_inj,
     conjugate_surj,
     enumerate_tamari,
-    lbf_to_rbf,
     tamari_join,
     tamari_leq,
     tamari_opposite,
@@ -248,7 +244,7 @@ def _bracket_direct_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # One pass over the fibres in increasing level, a _scan_close step
     # for each, the last one in _scan_end.
     images, svalues = phi.images, s.values
-    r_t = lbf_to_rbf(t).values
+    r_t = _rbf_values(t)
     last = len(images) - 1
     stack = (0, len(r_t), None)
     for k in range(last):
@@ -282,7 +278,7 @@ def _bracket_search_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
     # A leaf is returned only after the explicit test.
     sigma, delta = epi_mono_factorize(phi)
     conj = conjugate_surj(sigma, s)
-    bound = _rbf_values(conjugate_inj(delta, t).values)
+    bound = _rbf_values(conjugate_inj(delta, t))
     k = delta.dom
     due = [0] * k  # due[j]: positions i >= 1 that must close by entry j
     for i in range(1, k):
@@ -305,7 +301,7 @@ def _bracket_search_ok(phi: MonotoneMap, s: Lbf, t: Lbf) -> bool:
             if j == k - 1:
                 middle = Lbf(tuple(values))
                 if (tamari_leq(conj, middle)
-                        and all(map(le, _rbf_values(middle.values), bound))):
+                        and all(map(le, _rbf_values(middle), bound))):
                     return True
                 continue
             still_open = open_ & ((2 << v) - 1)
@@ -526,7 +522,6 @@ def lambda_(a: FskObject) -> FskMorphism:
     return _proved(src, a, sigma)
 
 
-# its own kernel: dual(lambda_(dual(a))) slows the axiom sweep (3 more objects)
 @value_cache
 def rho(a: FskObject) -> FskMorphism:
     """The right unit map a -> aI: adjoin a trailing unit."""
@@ -646,7 +641,7 @@ def hom(a: FskObject, b: FskObject) -> list[FskMorphism]:
     if any(map(ge, los, his)):
         return []
     m, svalues = a.m, a.s.values
-    r_t = lbf_to_rbf(b.s).values
+    r_t = _rbf_values(b.s)
     images = [0] * m
     # stacks[j]: the scan once images[:j] are fixed; closed[j]: stacks[j]
     # after position j-1 ends its fibre, None until the first image above

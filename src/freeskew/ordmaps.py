@@ -201,17 +201,14 @@ def second_right_adjoint(phi: MonotoneMap) -> MonotoneMap:
     return right_adjoint(star)
 
 
-def _reflect_map(psi: MonotoneMap) -> MonotoneMap:
-    # transport psi across the reversals of both ordinals
-    return MonotoneMap(psi.dom, psi.cod,
-                       tuple(map((psi.cod - 1).__sub__, reversed(psi.images))))
-
-
 @shape_cache
 def _dual_map(phi: MonotoneMap) -> MonotoneMap:
-    # the reflected right adjoint (phi preserves bottom): the map under
-    # the dual of a morphism over phi, a surjection when phi is injective
-    return _reflect_map(right_adjoint(phi))
+    # the right adjoint (phi preserves bottom) carried across the
+    # reversals of both ordinals: the map under the dual of a morphism
+    # over phi, a surjection when phi is injective
+    star = right_adjoint(phi)
+    return MonotoneMap(star.dom, star.cod,
+                       map((star.cod - 1).__sub__, reversed(star.images)))
 
 
 @value_cache

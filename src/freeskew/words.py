@@ -101,11 +101,11 @@ def format_object(obj: FskObject) -> str:
     Cached, so that the morphisms of a hom-set, which share both ends,
     format each end once.
     """
-    m, values = obj.m, obj.s.values
+    m = obj.m
     openings, closings, letters = [0] * m, [0] * m, ["I"] * m
-    for a in values[:-1]:
+    for a in obj.s.values[:-1]:
         openings[a] += 1
-    for b in _rbf_values(values)[1:]:
+    for b in _rbf_values(obj.s)[1:]:
         closings[b] += 1
     for j in obj.u:
         letters[j] = "X"
@@ -157,8 +157,22 @@ def object_to_json(obj: FskObject) -> dict[str, Any]:
     return {"m": obj.m, "u": list(obj.u), "s": list(obj.s.values)}
 
 
-def object_from_json(data: dict[str, Any]) -> FskObject:
-    return FskObject(data["m"], tuple(data["u"]), Lbf(tuple(data["s"])))
+def object_from_json(data: Any) -> FskObject:
+    return FskObject(_field(data, "m", int), _field(data, "u", list),
+                     Lbf(_field(data, "s", list)))
+
+
+def _field(data: Any, key: str, kind: type) -> Any:
+    # data[key], checked before anything is built from it: an int, a
+    # list of ints or a dict, as kind says; bools and floats are refused
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"no field {key!r} in {type(data).__name__}")
+    value = data[key]
+    if type(value) is not kind or (kind is list
+                                   and any(type(x) is not int for x in value)):
+        what = "a list of int" if kind is list else kind.__name__
+        raise InputError(f"field {key!r} is not {what}")
+    return value
 
 
 def morphism_to_json(f: FskMorphism) -> dict[str, Any]:
@@ -167,11 +181,11 @@ def morphism_to_json(f: FskMorphism) -> dict[str, Any]:
             "map": list(f.map.images)}
 
 
-def morphism_from_json(data: dict[str, Any]) -> FskMorphism:
-    src = object_from_json(data["src"])
-    dst = object_from_json(data["dst"])
-    return FskMorphism(src, dst,
-                       MonotoneMap(src.m, dst.m, tuple(data["map"])))
+def morphism_from_json(data: Any) -> FskMorphism:
+    src = object_from_json(_field(data, "src", dict))
+    dst = object_from_json(_field(data, "dst", dict))
+    images = _field(data, "map", list)
+    return FskMorphism(src, dst, MonotoneMap(src.m, dst.m, images))
 
 
 def dump_json(data) -> str:

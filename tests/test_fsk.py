@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from freeskew import fsk, ordmaps, tamari
+from freeskew import fsk, operads, ordmaps, tamari
 from freeskew.ordmaps import (
     SHAPE_CACHE_SIZE,
     VALUE_CACHE_SIZE,
@@ -225,6 +225,18 @@ class TestValueContract:
         assert len(calls) == 1
 
 
+def test_value_reprs_and_cross_class_equality():
+    # Lbf and Rbf share one body; a dataclass-decorated subclass would
+    # write its own __repr__ (Lbf(values=(0, 0, 2))), __eq__ and __hash__
+    assert repr(Lbf((0, 0, 2))) == "Lbf(0,0,2)"
+    assert repr(Rbf((0, 2, 2))) == "Rbf(0,2,2)"
+    assert repr(MonotoneMap(3, 2, (0, 0, 1))) == "MonotoneMap(3->2; 0,0,1)"
+    assert (repr(FskObject(3, (0, 2), Lbf((0, 1, 2))))
+            == "FskObject(m=3, u={0,2}, s=0,1,2)")
+    assert Lbf((0, 1)) != Rbf((0, 1))
+    assert Rbf((0, 1)) != Lbf((0, 1))
+
+
 def test_proved_morphisms_skip_the_check(monkeypatch):
     calls = []
     monkeypatch.setattr(FskMorphism, "__post_init__", lambda self: calls.append(1))
@@ -433,6 +445,46 @@ def clear_caches():
         getattr(sys.modules[f"freeskew.{module}"], name).cache_clear()
 
 
+def test_core_paths_build_no_rbf(monkeypatch):
+    # every rbf the package reads comes from the scan tamari._rbf_values,
+    # so no Rbf is built on the membership, hom, factorization, counit or
+    # colax paths, nor by the word writer
+    def refuse(self, values):
+        raise AssertionError(f"an Rbf was built: {values}")
+
+    monkeypatch.setattr(Rbf, "__post_init__", refuse)
+    clear_caches()
+    rng = random.Random(3900)
+    morphisms = listed = 0
+    for _ in range(300):
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        images = (0,) + tuple(sorted(rng.choices(range(n), k=m - 1)))
+        ends = [k for k in range(m)
+                if k == m - 1 or images[k] < images[k + 1]]
+        u = sorted(rng.sample(ends, rng.randint(0, len(ends))))
+        v = {images[j] for j in u}
+        src = parse_object(random_word(
+            rng, ["X" if j in u else "I" for j in range(m)]))
+        targets = ["X" if h in v else "I" for h in range(n)]
+        dst = parse_object(random_word(rng, targets) if rng.random() < 0.5
+                           else "".join(f"({c} " for c in targets[:-1])
+                           + targets[-1] + ")" * (n - 1))
+        phi = MonotoneMap(m, n, images)
+        verdicts = {is_morphism(src, dst, phi, mode) for mode in MODES}
+        assert len(verdicts) == 1
+        if verdicts == {True}:
+            morphisms += 1
+            factor_general(FskMorphism(src, dst, phi))
+        listed += len(hom(src, dst))
+        format_object(src), format_object(dst)
+        operads.counit_at(src)
+    for x, y in (("t3", "t3"), ("l4", "t2"), ("t2", "l5"), ("l3", "l2")):
+        x = operads.LElement.from_text(x)
+        for i in range(1, x.arity + 1):
+            operads.h_colax(x, i, operads.LElement.from_text(y))
+    assert morphisms > 30 and listed > 30
+
+
 class TestCachePolicy:
     # values that depend on shape alone, every one a sweep meets kept
     SHAPE = {"ordmaps._identity_map", "fsk._collapse_map",
@@ -443,7 +495,7 @@ class TestCachePolicy:
              "tamari.enumerate_tamari"}
     # values computed from a query's own input, reused within the query
     # or by a query repeated among recent ones
-    VALUE = {"tamari.lbf_to_rbf",
+    VALUE = {"tamari._rbf_values",
              "tamari.conjugate_surj", "tamari.conjugate_inj",
              "fsk._tensor_objects", "fsk.lambda_", "fsk.rho",
              "words.format_object", "words.parse_object",

@@ -204,6 +204,50 @@ class TestTextAndJsonForms:
         for f in hom(tensor(I, I), tensor(I, I)):
             assert morphism_from_json(morphism_to_json(f)) == f
 
+    def test_json_round_trips_on_every_small_hom_set(self):
+        small = objects_up_to(4)
+        for a in small:
+            assert object_from_json(json.loads(dump_json(object_to_json(a)))) == a
+        for a, b in product(small, repeat=2):
+            for f in hom(a, b):
+                assert morphism_from_json(morphism_to_json(f)) == f
+
+    # payloads the JSON readers refuse, and the field each names; without
+    # the checks these raised KeyError or TypeError, or built m == 1.0
+    X_JSON = {"m": 1, "u": [0], "s": [0]}
+    IX_JSON = {"m": 2, "u": [1], "s": [0, 1]}
+
+    @pytest.mark.parametrize("reader, data, name", [
+        (object_from_json, [1, [], [0]], "m"),
+        (object_from_json, None, "m"),
+        (object_from_json, {"u": [], "s": [0]}, "m"),
+        (object_from_json, {"m": 1, "s": [0]}, "u"),
+        (object_from_json, {"m": 1, "u": []}, "s"),
+        (object_from_json, {"m": 1.0, "u": [], "s": [0]}, "m"),
+        (object_from_json, {"m": True, "u": [], "s": [0]}, "m"),
+        (object_from_json, {"m": "1", "u": [], "s": [0]}, "m"),
+        (object_from_json, {"m": 1, "u": "", "s": [0]}, "u"),
+        (object_from_json, {"m": 1, "u": None, "s": [0]}, "u"),
+        (object_from_json, {"m": 2, "u": [1.0], "s": [0, 1]}, "u"),
+        (object_from_json, {"m": 1, "u": [], "s": "0"}, "s"),
+        (object_from_json, {"m": 1, "u": [], "s": [False]}, "s"),
+        (object_from_json, {"m": 1, "u": [], "s": {"0": 0}}, "s"),
+        (morphism_from_json, "X", "src"),
+        (morphism_from_json, {"dst": X_JSON, "map": [0]}, "src"),
+        (morphism_from_json, {"src": [X_JSON], "dst": X_JSON, "map": [0]},
+         "src"),
+        (morphism_from_json, {"src": X_JSON, "map": [0]}, "dst"),
+        (morphism_from_json, {"src": X_JSON, "dst": X_JSON}, "map"),
+        (morphism_from_json, {"src": X_JSON, "dst": X_JSON, "map": 0}, "map"),
+        (morphism_from_json, {"src": IX_JSON, "dst": IX_JSON,
+                              "map": [0, 1.0]}, "map"),
+        (morphism_from_json, {"src": {"m": 1, "u": [0]}, "dst": X_JSON,
+                              "map": [0]}, "s"),
+    ])
+    def test_json_readers_check_each_field(self, reader, data, name):
+        with pytest.raises(InputError, match=f"field '{name}'"):
+            reader(data)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
